@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <utility>
 
 #include "harness/experiment.hpp"
 #include "model/critpath.hpp"
@@ -158,6 +160,157 @@ TEST(CritPath, ZeroCostInterconnectCollapsesToSingleClusterBound) {
   single.num_clusters = 1;
   EXPECT_EQ(predicted_cycles(clustered, steer::Scheme::kOp),
             predicted_cycles(single, steer::Scheme::kOneCluster));
+}
+
+// Pins the model's exact output: cycles, copies and copy_hops of every
+// simulation point of the shared trace on the model-search machine grid
+// (2 and 4 clusters x ideal/bus/ring/crossbar x {link latency 1 with
+// unlimited bandwidth, link latency 2 with 1 copy per link-cycle} x
+// OP/OB/RHOP/VC(2)/OP-parallel). The constraint structures inside the walk
+// are a pure cost concern; replacing them must leave every estimate
+// bit-identical, and these constants catch the first byte that moves.
+struct PinnedPoint {
+  std::uint64_t cycles, copies, copy_hops;
+};
+
+constexpr PinnedPoint kPinned[][3] = {
+    // 2 clusters, ideal, link latency 1, unlimited bandwidth
+    {{44232, 1534, 1534}, {7828, 1887, 1887}, {8401, 1780, 1780}},
+    {{48565, 824, 824}, {9591, 911, 911}, {9568, 1141, 1141}},
+    {{44575, 1985, 1985}, {7842, 1508, 1508}, {8381, 1698, 1698}},
+    {{44589, 4127, 4127}, {8141, 3132, 3132}, {8561, 3318, 3318}},
+    {{44232, 1534, 1534}, {7828, 1887, 1887}, {8401, 1780, 1780}},
+    // 2 clusters, ideal, link latency 2, 1 copy per link-cycle
+    {{44370, 1534, 1534}, {7924, 1887, 1887}, {8579, 1780, 1780}},
+    {{48631, 824, 824}, {9624, 911, 911}, {9666, 1141, 1141}},
+    {{44810, 1985, 1985}, {7969, 1508, 1508}, {8628, 1698, 1698}},
+    {{44422, 1138, 1138}, {7878, 1652, 1652}, {8681, 1720, 1720}},
+    {{44370, 1534, 1534}, {7924, 1887, 1887}, {8579, 1780, 1780}},
+    // 2 clusters, bus, link latency 1, unlimited bandwidth
+    {{44232, 1534, 1534}, {7828, 1887, 1887}, {8401, 1780, 1780}},
+    {{48565, 824, 824}, {9591, 911, 911}, {9568, 1141, 1141}},
+    {{44575, 1985, 1985}, {7842, 1508, 1508}, {8381, 1698, 1698}},
+    {{44589, 4127, 4127}, {8141, 3132, 3132}, {8561, 3318, 3318}},
+    {{44232, 1534, 1534}, {7828, 1887, 1887}, {8401, 1780, 1780}},
+    // 2 clusters, bus, link latency 2, 1 copy per link-cycle
+    {{44370, 1534, 1534}, {7924, 1887, 1887}, {8579, 1780, 1780}},
+    {{48631, 824, 824}, {9624, 911, 911}, {9666, 1141, 1141}},
+    {{44810, 1985, 1985}, {7969, 1508, 1508}, {8628, 1698, 1698}},
+    {{44422, 1138, 1138}, {7878, 1652, 1652}, {8681, 1720, 1720}},
+    {{44370, 1534, 1534}, {7924, 1887, 1887}, {8579, 1780, 1780}},
+    // 2 clusters, ring, link latency 1, unlimited bandwidth
+    {{44232, 1534, 1534}, {7828, 1887, 1887}, {8401, 1780, 1780}},
+    {{48565, 824, 824}, {9591, 911, 911}, {9568, 1141, 1141}},
+    {{44575, 1985, 1985}, {7842, 1508, 1508}, {8381, 1698, 1698}},
+    {{44589, 4127, 4127}, {8141, 3132, 3132}, {8561, 3318, 3318}},
+    {{44232, 1534, 1534}, {7828, 1887, 1887}, {8401, 1780, 1780}},
+    // 2 clusters, ring, link latency 2, 1 copy per link-cycle
+    {{44370, 1534, 1534}, {7924, 1887, 1887}, {8579, 1780, 1780}},
+    {{48631, 824, 824}, {9624, 911, 911}, {9666, 1141, 1141}},
+    {{44810, 1985, 1985}, {7969, 1508, 1508}, {8628, 1698, 1698}},
+    {{44422, 1138, 1138}, {7878, 1652, 1652}, {8681, 1720, 1720}},
+    {{44370, 1534, 1534}, {7924, 1887, 1887}, {8579, 1780, 1780}},
+    // 2 clusters, crossbar, link latency 1, unlimited bandwidth
+    {{44232, 1534, 1534}, {7828, 1887, 1887}, {8401, 1780, 1780}},
+    {{48565, 824, 824}, {9591, 911, 911}, {9568, 1141, 1141}},
+    {{44575, 1985, 1985}, {7842, 1508, 1508}, {8381, 1698, 1698}},
+    {{44589, 4127, 4127}, {8141, 3132, 3132}, {8561, 3318, 3318}},
+    {{44232, 1534, 1534}, {7828, 1887, 1887}, {8401, 1780, 1780}},
+    // 2 clusters, crossbar, link latency 2, 1 copy per link-cycle
+    {{44370, 1534, 1534}, {7924, 1887, 1887}, {8579, 1780, 1780}},
+    {{48631, 824, 824}, {9624, 911, 911}, {9666, 1141, 1141}},
+    {{44810, 1985, 1985}, {7969, 1508, 1508}, {8628, 1698, 1698}},
+    {{44422, 1138, 1138}, {7878, 1652, 1652}, {8681, 1720, 1720}},
+    {{44370, 1534, 1534}, {7924, 1887, 1887}, {8579, 1780, 1780}},
+    // 4 clusters, ideal, link latency 1, unlimited bandwidth
+    {{44161, 3473, 3473}, {7925, 3574, 3574}, {8304, 3518, 3518}},
+    {{47652, 1522, 1522}, {8219, 2150, 2150}, {8650, 2096, 2096}},
+    {{44088, 3093, 3093}, {7959, 3238, 3238}, {8283, 3188, 3188}},
+    {{44455, 5379, 5379}, {8271, 5347, 5347}, {8770, 5181, 5181}},
+    {{44161, 3473, 3473}, {7925, 3574, 3574}, {8304, 3518, 3518}},
+    // 4 clusters, ideal, link latency 2, 1 copy per link-cycle
+    {{44342, 3473, 3473}, {8096, 3574, 3574}, {8564, 3518, 3518}},
+    {{47696, 1522, 1522}, {8289, 2150, 2150}, {8748, 2096, 2096}},
+    {{44287, 3093, 3093}, {8160, 3238, 3238}, {8583, 3188, 3188}},
+    {{44418, 3915, 3915}, {8177, 4424, 4424}, {9071, 4410, 4410}},
+    {{44342, 3473, 3473}, {8096, 3574, 3574}, {8564, 3518, 3518}},
+    // 4 clusters, bus, link latency 1, unlimited bandwidth
+    {{44161, 3473, 3473}, {7925, 3574, 3574}, {8304, 3518, 3518}},
+    {{47652, 1522, 1522}, {8219, 2150, 2150}, {8650, 2096, 2096}},
+    {{44088, 3093, 3093}, {7959, 3238, 3238}, {8283, 3188, 3188}},
+    {{44455, 5379, 5379}, {8271, 5347, 5347}, {8770, 5181, 5181}},
+    {{44161, 3473, 3473}, {7925, 3574, 3574}, {8304, 3518, 3518}},
+    // 4 clusters, bus, link latency 2, 1 copy per link-cycle
+    {{44342, 3473, 3473}, {8096, 3574, 3574}, {8564, 3518, 3518}},
+    {{47696, 1522, 1522}, {8289, 2150, 2150}, {8748, 2096, 2096}},
+    {{44287, 3093, 3093}, {8160, 3238, 3238}, {8583, 3188, 3188}},
+    {{44418, 3915, 3915}, {8177, 4424, 4424}, {9071, 4410, 4410}},
+    {{44342, 3473, 3473}, {8096, 3574, 3574}, {8564, 3518, 3518}},
+    // 4 clusters, ring, link latency 1, unlimited bandwidth
+    {{44376, 3473, 7126}, {8082, 3574, 7123}, {8562, 3518, 7016}},
+    {{47674, 1522, 2938}, {8296, 2150, 4139}, {8762, 2096, 4158}},
+    {{44276, 3093, 5444}, {8170, 3238, 6964}, {8626, 3188, 6432}},
+    {{44662, 5379, 10855}, {8466, 5347, 10745}, {9134, 5181, 10303}},
+    {{44376, 3473, 7126}, {8082, 3574, 7123}, {8562, 3518, 7016}},
+    // 4 clusters, ring, link latency 2, 1 copy per link-cycle
+    {{45000, 3473, 7126}, {8450, 3574, 7123}, {9442, 3518, 7016}},
+    {{47746, 1522, 2938}, {8465, 2150, 4139}, {8947, 2096, 4158}},
+    {{44730, 3093, 5444}, {8667, 3238, 6964}, {9597, 3188, 6432}},
+    {{44965, 3915, 7853}, {8704, 4424, 9212}, {10038, 4410, 8733}},
+    {{45000, 3473, 7126}, {8450, 3574, 7123}, {9442, 3518, 7016}},
+    // 4 clusters, crossbar, link latency 1, unlimited bandwidth
+    {{44161, 3473, 3473}, {7925, 3574, 3574}, {8304, 3518, 3518}},
+    {{47652, 1522, 1522}, {8219, 2150, 2150}, {8650, 2096, 2096}},
+    {{44088, 3093, 3093}, {7959, 3238, 3238}, {8283, 3188, 3188}},
+    {{44455, 5379, 5379}, {8271, 5347, 5347}, {8770, 5181, 5181}},
+    {{44161, 3473, 3473}, {7925, 3574, 3574}, {8304, 3518, 3518}},
+    // 4 clusters, crossbar, link latency 2, 1 copy per link-cycle
+    {{44342, 3473, 3473}, {8096, 3574, 3574}, {8564, 3518, 3518}},
+    {{47696, 1522, 1522}, {8289, 2150, 2150}, {8748, 2096, 2096}},
+    {{44287, 3093, 3093}, {8160, 3238, 3238}, {8583, 3188, 3188}},
+    {{44418, 3915, 3915}, {8177, 4424, 4424}, {9071, 4410, 4410}},
+    {{44342, 3473, 3473}, {8096, 3574, 3574}, {8564, 3518, 3518}},
+};
+
+TEST(CritPath, PinnedEstimatesOnSearchGrid) {
+  const harness::TraceExperiment& exp = shared_trace();
+  ASSERT_EQ(exp.intervals().size(), 3u);
+  const harness::SchemeSpec schemes[] = {
+      {steer::Scheme::kOp, 0},   {steer::Scheme::kOb, 0},
+      {steer::Scheme::kRhop, 0}, {steer::Scheme::kVc, 2},
+      {steer::Scheme::kParallelOp, 0},
+  };
+  std::size_t row = 0;
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                                Topology::kRing, Topology::kCrossbar}) {
+      for (const auto& [latency, bandwidth] :
+           {std::pair{1u, ~0u}, std::pair{2u, 1u}}) {
+        MachineConfig m = clusters == 2 ? MachineConfig::two_cluster()
+                                        : MachineConfig::four_cluster();
+        m.interconnect.kind = topo;
+        m.interconnect.link_latency = latency;
+        m.interconnect.copies_per_link_cycle = bandwidth;
+        for (const harness::SchemeSpec& spec : schemes) {
+          prog::Program program = exp.workload().program;
+          harness::annotate_for_scheme(program, spec, m);
+          for (std::size_t p = 0; p < exp.intervals().size(); ++p) {
+            const auto extra = memory_latencies(program, exp.intervals()[p],
+                                                exp.warm_addrs()[p], m);
+            const IntervalEstimate est = estimate_interval(
+                program, exp.intervals()[p], extra, m, spec.scheme);
+            const PinnedPoint& want = kPinned[row][p];
+            SCOPED_TRACE(testing::Message() << "row " << row << " point " << p);
+            EXPECT_EQ(est.cycles, want.cycles);
+            EXPECT_EQ(est.copies, want.copies);
+            EXPECT_EQ(est.copy_hops, want.copy_hops);
+          }
+          ++row;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(kPinned));
 }
 
 }  // namespace
