@@ -1,7 +1,8 @@
 // Microbenchmarks of the infrastructure itself (google-benchmark):
 // simulator throughput (simulated micro-ops per second), trace generation,
-// PinPoints analysis, the multilevel partitioner, the software passes, and
-// the exec layer (thread-pool dispatch, cache-key construction).
+// the analytical model's walk, PinPoints analysis, the multilevel
+// partitioner, the software passes, and the exec layer (thread-pool
+// dispatch, cache-key construction).
 // These guard against performance regressions that would make the figure
 // sweeps impractically slow.
 #include <benchmark/benchmark.h>
@@ -17,6 +18,7 @@
 #include "exec/thread_pool.hpp"
 #include "graph/partition.hpp"
 #include "harness/experiment.hpp"
+#include "model/critpath.hpp"
 #include "sim/core.hpp"
 #include "sim/lane_block.hpp"
 #include "sim/sim_batch.hpp"
@@ -329,6 +331,42 @@ void BM_ArenaRunFresh(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 5'000);
 }
 BENCHMARK(BM_ArenaRunFresh);
+
+// The analytical model's critical-path walk (model::estimate_interval) over
+// every simulation point of the smoke trace, on a 4-cluster ring whose
+// links take 2 cycles and carry 1 copy per cycle, so every constraint pool
+// (issue ports, copy select, link bandwidth, IQ/LSQ/copy windows) binds.
+// items/s is walked micro-ops per second; per_uop is its inverse.
+void BM_ModelWalk(benchmark::State& state) {
+  MachineConfig cfg = MachineConfig::four_cluster();
+  cfg.interconnect.kind = Topology::kRing;
+  cfg.interconnect.link_latency = 2;
+  cfg.interconnect.copies_per_link_cycle = 1;
+  const harness::TraceExperiment exp(bench_profile(), cfg,
+                                     harness::SimBudget::smoke());
+  const prog::Program& program = exp.workload().program;
+  std::vector<std::vector<std::uint32_t>> load_extra;
+  std::uint64_t uops = 0;
+  for (std::size_t p = 0; p < exp.intervals().size(); ++p) {
+    load_extra.push_back(model::memory_latencies(
+        program, exp.intervals()[p], exp.warm_addrs()[p], cfg));
+    uops += exp.intervals()[p].size();
+  }
+  for (auto _ : state) {
+    for (std::size_t p = 0; p < exp.intervals().size(); ++p) {
+      const model::IntervalEstimate est = model::estimate_interval(
+          program, exp.intervals()[p], load_extra[p], cfg,
+          steer::Scheme::kOp);
+      benchmark::DoNotOptimize(est);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(uops));
+  state.counters["per_uop"] = benchmark::Counter(
+      static_cast<double>(uops),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ModelWalk);
 
 void BM_PinPointsSelection(benchmark::State& state) {
   const workload::GeneratedWorkload wl = workload::generate(bench_profile());

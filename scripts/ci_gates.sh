@@ -48,8 +48,8 @@
 #             rewrites BENCH_perf.json at the repo root (warning, never
 #             failing, on a >10% drop vs the committed baseline). When the
 #             microbench binary exists, the wakeup/select, value-table-
-#             churn, arena-reuse and transposed-step kernels are recorded
-#             alongside as 3-repetition medians. Run it from a Release tree
+#             churn, arena-reuse, transposed-step and model-walk kernels are
+#             recorded alongside as 3-repetition medians. Run it from a Release tree
 #             (cmake --preset release) — any other build type only
 #             measures assert overhead.
 #
@@ -191,7 +191,7 @@ gate_perf() {
   if [[ -x "$BUILD_DIR/microbench" ]]; then
     microbench_json="$GATE_OUT/perf_microbench.json"
     "$BUILD_DIR/microbench" \
-      --benchmark_filter='BM_WakeupSelect|BM_BatchedWakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused|BM_TransposedStep$' \
+      --benchmark_filter='BM_WakeupSelect|BM_BatchedWakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused|BM_TransposedStep$|BM_ModelWalk' \
       --benchmark_repetitions=3 \
       --benchmark_format=json > "$microbench_json"
   fi

@@ -32,8 +32,8 @@ to the median. Output schema:
 run actually spent its time — trace generation vs. the cycle loop).
 MICROBENCH_JSON, when given, is a google-benchmark --benchmark_format=json
 report; the gate records the wakeup/select and value-table kernels (scalar
-and batched/SoA variants), arena reuse and the transposed lane-block step —
-see TRACKED_KERNELS — so the committed baseline tracks kernel-level
+and batched/SoA variants), arena reuse, the transposed lane-block step and
+the analytical model's walk — see TRACKED_KERNELS — so the committed baseline tracks kernel-level
 trajectories alongside the end-to-end rate. Run the microbench with
 --benchmark_repetitions=3: the gate prefers each kernel's "median"
 aggregate over single-repetition samples, the same wobble defence as the
@@ -69,7 +69,8 @@ def host_id() -> str:
 # Microbench kernels tracked in the baseline (bench/microbench.cpp).
 TRACKED_KERNELS = ("BM_WakeupSelect", "BM_BatchedWakeupSelect",
                    "BM_ValueTableChurn", "BM_SoAValueTableChurn",
-                   "BM_ArenaRunReused", "BM_TransposedStep")
+                   "BM_ArenaRunReused", "BM_TransposedStep",
+                   "BM_ModelWalk")
 
 
 def read_microbench(path: str) -> dict:

@@ -6,16 +6,17 @@
 //
 //   SimEvaluator    cycle-accurate TraceExperiment, bit-identical to the
 //                   historical direct run path; results tagged source "sim".
-//   ModelEvaluator  src/model/ critical-path estimator, orders of magnitude
-//                   cheaper; results tagged source "model".
+//   ModelEvaluator  src/model/ critical-path estimator, about a third of
+//                   the simulator's cost per micro-op (src/model/critpath.hpp
+//                   gives the measurement); results tagged source "model".
 //
 // The request carries one (trace, machine) cell with *all* its scheme
 // requests at once, because both backends amortise per-cell work across
 // schemes: the simulator coalesces schemes into batched lanes sharing one
 // interleaved cycle loop, the model shares one materialised trace and one
-// functional memory replay. exec::run_sweep's two-stage pruned mode
-// (--prune-model K) estimates every grid point with ModelEvaluator and
-// spends SimEvaluator only on the top-K frontier.
+// functional memory replay per cache geometry. exec::run_sweep's two-stage
+// pruned mode (--prune-model K) estimates every grid point with
+// ModelEvaluator and spends SimEvaluator only on the top-K frontier.
 #pragma once
 
 #include <cstddef>

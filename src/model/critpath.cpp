@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <functional>
-#include <queue>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "isa/uop.hpp"
 #include "mem/cache.hpp"
+#include "model/pools.hpp"
 
 namespace vcsteer::model {
 namespace {
@@ -34,143 +32,6 @@ constexpr std::uint32_t kBalanceWindow = 64;
 // signal without touching any machine resource.
 constexpr std::uint64_t kInFlightWindow = 64;
 
-/// Append-only stream of event times for IN-ORDER pipeline stages (decode,
-/// commit, ROB release): entries free in stream order, so the k-back
-/// constraint is a prefix-maximum lookup. Non-decreasing in the stream
-/// index, so a larger k (a wider resource) can only yield an earlier,
-/// never-larger time.
-class Stream {
- public:
-  void push(std::uint64_t t) {
-    max_ = std::max(max_, t);
-    pmax_.push_back(max_);
-  }
-
-  /// Prefix-max time of the entry `back` positions before the next push
-  /// (back == size() is the oldest entry). 0 — no constraint — when the
-  /// stream is shorter than `back` or the resource is unlimited (back==~0u
-  /// never binds because streams stay far below 2^32 entries).
-  std::uint64_t window_bound(std::uint64_t back) const {
-    if (back == 0 || pmax_.size() < back) return 0;
-    return pmax_[pmax_.size() - back];
-  }
-
-  /// Rate constraint: at most `width` stream events per cycle, so the next
-  /// event lands strictly after the one `width` back.
-  std::uint64_t rate_bound(std::uint64_t width) const {
-    if (width == 0 || pmax_.size() < width) return 0;
-    return pmax_[pmax_.size() - width] + 1;
-  }
-
- private:
-  std::vector<std::uint64_t> pmax_;
-  std::uint64_t max_ = 0;
-};
-
-/// Order-statistic pool for *window* resources whose slots free OUT of
-/// order — issue-queue entries (they leave when they issue, not in dispatch
-/// order) and the LSQ (loads leave at completion, stores at commit). With
-/// capacity C and n recorded free times, the next acquirer waits for the
-/// (n-C+1)-th *smallest* free time: the moment enough slots have actually
-/// freed, regardless of acquisition order — exact, with no assumption about
-/// the order slots were taken in. A prefix-max stream here would model an
-/// in-order pipeline: one slow occupant (a dependent of a 500-cycle miss)
-/// would serialise everything behind it, which is exactly what an
-/// out-of-order core exists to avoid.
-///
-/// Monotone in C by construction: a larger capacity selects a smaller order
-/// statistic, which is never later. Maintained as the classic two-heap
-/// split (max-heap of the k smallest, min-heap of the rest) at O(log n)
-/// per push.
-class FreePool {
- public:
-  void configure(std::uint64_t capacity) {
-    // ~0u marks an unlimited resource; 0 keeps the Stream convention of
-    // "no constraint" (no real machine has a zero-entry queue).
-    unlimited_ = capacity == 0 || capacity >= 0xffffffffull;
-    cap_ = capacity;
-  }
-
-  /// Earliest time a slot is free for the next acquirer (0: a slot is
-  /// already free, or the resource is unlimited).
-  std::uint64_t window_bound() const { return low_.empty() ? 0 : low_.top(); }
-
-  void push(std::uint64_t t) {
-    if (unlimited_) return;
-    if (!low_.empty() && t <= low_.top()) {
-      low_.push(t);
-    } else {
-      high_.push(t);
-    }
-    ++size_;
-    const std::uint64_t k = size_ >= cap_ ? size_ - cap_ + 1 : 0;
-    while (low_.size() > k) {
-      high_.push(low_.top());
-      low_.pop();
-    }
-    while (low_.size() < k) {
-      low_.push(high_.top());
-      high_.pop();
-    }
-  }
-
- private:
-  std::uint64_t cap_ = 0;
-  std::uint64_t size_ = 0;
-  bool unlimited_ = true;
-  std::priority_queue<std::uint64_t> low_;  ///< the k smallest free times.
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<std::uint64_t>>
-      high_;  ///< everything above them.
-};
-
-/// Per-cycle capacity for *rate* resources — issue ports, copy-queue issue
-/// slots, link bandwidth: at most `width` events in any single cycle, with
-/// requests arriving in arbitrary time order (a dependent of a slow load
-/// asks for a slot hundreds of cycles after younger, independent ops took
-/// theirs). place(ready) returns the earliest cycle >= ready with a free
-/// slot and books it — the same greedy oldest-first select the simulator's
-/// back-end performs. Full cycles forward to their successor through a
-/// path-compressed next-free map, so placement stays near O(1) even when
-/// thousands of ready times pile onto the same region.
-class RatePool {
- public:
-  void configure(std::uint64_t width) {
-    unlimited_ = width == 0 || width >= 0xffffffffull;
-    width_ = width;
-  }
-
-  std::uint64_t place(std::uint64_t ready) {
-    if (unlimited_) return ready;
-    const std::uint64_t t = find(ready);
-    if (++count_[t] >= width_) next_[t] = t + 1;
-    return t;
-  }
-
- private:
-  /// Earliest cycle >= t that may still have a free slot, with path
-  /// compression (iterative: chase, then repoint the chain at the root).
-  std::uint64_t find(std::uint64_t t) {
-    std::uint64_t root = t;
-    for (auto it = next_.find(root); it != next_.end();
-         it = next_.find(root)) {
-      root = it->second;
-    }
-    while (t != root) {
-      auto it = next_.find(t);
-      const std::uint64_t n = it->second;
-      it->second = root;
-      t = n;
-    }
-    return root;
-  }
-
-  std::uint64_t width_ = 0;
-  bool unlimited_ = true;
-  std::unordered_map<std::uint64_t, std::uint64_t> count_;
-  std::unordered_map<std::uint64_t, std::uint64_t> next_;
-};
-
 /// Where a register value lives: the producing uop's completion time at its
 /// home cluster, plus the arrival time at every cluster it has been copied
 /// to (a copy is charged once, then reused by later consumers — mirroring
@@ -193,6 +54,12 @@ class Walker {
     limited_bw_ = machine.interconnect.kind != Topology::kIdeal &&
                   machine.interconnect.copies_per_link_cycle != ~0u;
     const std::uint32_t n = machine.num_clusters;
+    decode_[0].configure(machine.decode_width_int);
+    decode_[1].configure(machine.decode_width_fp);
+    rob_[0].configure(machine.rob_int_entries);
+    rob_[1].configure(machine.rob_fp_entries);
+    commit_[0].configure(machine.commit_width_int);
+    commit_[1].configure(machine.commit_width_fp);
     lsq_.configure(machine.lsq_entries);
     for (std::uint32_t c = 0; c < n; ++c) {
       iq_window_[c][0].configure(machine.iq_int_entries);
@@ -223,10 +90,8 @@ class Walker {
       // --- dispatch: in-order, behind fetch and every window resource ---
       std::uint64_t disp = i / machine_.fetch_width + machine_.fetch_to_dispatch;
       disp = std::max(disp, last_disp);
-      disp = std::max(disp, decode_[q].rate_bound(q ? machine_.decode_width_fp
-                                                    : machine_.decode_width_int));
-      disp = std::max(disp, rob_[q].window_bound(q ? machine_.rob_fp_entries
-                                                   : machine_.rob_int_entries));
+      disp = std::max(disp, decode_[q].rate_bound());
+      disp = std::max(disp, rob_[q].window_bound());
       if (uop.is_mem()) {
         disp = std::max(disp, lsq_.window_bound());
       }
@@ -256,15 +121,16 @@ class Walker {
         issue = std::max(
             issue, operand_ready(isa::flat_reg(uop.srcs[s]), c, disp, &est));
       }
-      issue = iq_rate_[c][q].place(issue);
+      // Dispatch is in order and no rate-pool request precedes this
+      // micro-op's disp + 1, so that is every pool's floor (pools.hpp).
+      issue = iq_rate_[c][q].place(issue, disp + 1);
 
       std::uint64_t done = issue + isa::latency(uop.op);
       if (uop.is_load()) done += load_extra[i];
 
       // --- commit: in-order, per-file commit width ---
       std::uint64_t commit = std::max(done, last_commit);
-      commit = std::max(commit, commit_[q].rate_bound(q ? machine_.commit_width_fp
-                                                        : machine_.commit_width_int));
+      commit = std::max(commit, commit_[q].rate_bound());
 
       decode_[q].push(disp);
       for (std::uint32_t k = 0; k < 2; ++k) {
@@ -311,8 +177,8 @@ class Walker {
     if (r.mask & (1u << c)) return r.avail[c];
     const std::uint32_t src = r.home;
     const std::uint64_t start = std::max(r.avail[src], disp + 1);
-    std::uint64_t t = copy_rate_[src].place(start);
-    if (limited_bw_) t = link_[src][c].place(t);
+    std::uint64_t t = copy_rate_[src].place(start, disp + 1);
+    if (limited_bw_) t = link_[src][c].place(t, disp + 1);
     copy_window_[src].push(t);
     const std::uint32_t hops = topology_distance(
         machine_.interconnect.kind, machine_.num_clusters, src, c);

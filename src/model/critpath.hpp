@@ -2,8 +2,8 @@
 //
 // The cycle simulator answers "how fast is this config" by replaying every
 // micro-op through an event-driven pipeline; this model answers the same
-// question orders of magnitude cheaper by walking the dynamic dependence
-// graph once, in program order, and propagating *resource-constraint edges*
+// question by walking the dynamic dependence graph once, in program order,
+// and propagating *resource-constraint edges*
 // instead of simulating cycles — the technique of the PolyArch/prism
 // critical-path tools (compcp.hh / cp_dg_builder.hh): every pipeline
 // resource becomes a "k-back" edge tying micro-op i to the completion of
@@ -14,21 +14,33 @@
 //   dispatch[i] >= commit[ same-ROB op (rob_entries) back ]      (ROB window)
 //
 // Three constraint mechanisms, matched to how each resource actually frees
-// (critpath.cpp):
+// (model/pools.hpp, private to this module):
 //
-//   Stream    — prefix-maximum k-back arrays for IN-ORDER stages (decode
+//   Stream    — k-back running-maximum lookups for IN-ORDER stages (decode
 //               rate, ROB window over in-order commits, commit rate): slots
 //               free in stream order, so the k-back lookup is exact, and a
-//               wider resource reads an earlier, never-larger entry.
+//               wider resource reads an earlier, never-larger entry. A ring
+//               of the last bit_ceil(k) entries.
 //   FreePool  — order statistics for OUT-OF-ORDER windows (issue-queue
 //               entries, LSQ, producer copy queues): with capacity C the
 //               next acquirer waits for the (n-C+1)-th smallest recorded
-//               free time. A prefix-max here would serialise every micro-op
+//               free time, i.e. the C-th largest, so only the C largest are
+//               kept. A prefix-max here would serialise every micro-op
 //               behind one dependent of a cache miss — an in-order machine.
 //   RatePool  — first-fit per-cycle placement for issue ports, copy-select
 //               slots and link bandwidth: earliest cycle >= ready with a
 //               free slot, the same greedy oldest-first select the
-//               simulator's back-end performs.
+//               simulator's back-end performs. A ring over the live cycles
+//               between the in-order dispatch floor and the latest booking.
+//
+// Each keeps only what a later query can read, so the walk's cost and
+// memory follow the live window, not the interval length or the configured
+// resource size. On perfbench's traced model-search run (seed 1, 4-core
+// 2.1 GHz Xeon KVM guest, Release, median of 3) that took
+// model.ns_per_uop from 396 to 184 and model.cost_ratio (model over
+// simulator time per micro-op) from 1.01 to 0.37: with the former
+// unordered_map / two-heap / prefix-vector structures the walk cost as
+// much per micro-op as the simulator.
 //
 // Stream and FreePool bounds are monotone in their resource size by
 // construction, so predicted cycles cannot exhibit Graham-style anomalies

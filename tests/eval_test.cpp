@@ -122,6 +122,48 @@ TEST(Evaluator, ModelBackendEstimatesAndMemoisesTraces) {
   }
 }
 
+// The memory replay is memoised per (trace, cache geometry): a machine that
+// differs only outside the hierarchy reuses it and bills no warm-up time; a
+// change to any hierarchy field replays again and estimates exactly what a
+// fresh evaluator does.
+TEST(Evaluator, ModelBackendMemoisesMemoryReplayPerCacheGeometry) {
+  const EvalRequest req = smoke_request();
+  ModelEvaluator model;
+  EXPECT_GT(model.evaluate(req).phases.warmup_s, 0.0);
+
+  EvalRequest wider = req;
+  wider.machine.iq_int_entries *= 2;
+  wider.machine.interconnect.link_latency += 1;
+  EXPECT_EQ(model.evaluate(wider).phases.warmup_s, 0.0);
+
+  const auto changes = {
+      +[](MachineConfig& m) { m.l1d.size_bytes *= 2; },
+      +[](MachineConfig& m) { m.l1d.associativity *= 2; },
+      +[](MachineConfig& m) { m.l1d.line_bytes *= 2; },
+      +[](MachineConfig& m) { m.l1d.hit_latency += 1; },
+      +[](MachineConfig& m) { m.l2.size_bytes /= 2; },
+      +[](MachineConfig& m) { m.l2.associativity /= 2; },
+      +[](MachineConfig& m) { m.l2.line_bytes *= 2; },
+      +[](MachineConfig& m) { m.l2.hit_latency += 1; },
+      +[](MachineConfig& m) { m.memory_latency += 100; },
+  };
+  int field = 0;
+  for (const auto change : changes) {
+    SCOPED_TRACE(testing::Message() << "hierarchy field " << field++);
+    EvalRequest other = req;
+    change(other.machine);
+    const EvalResponse memo = model.evaluate(other);
+    EXPECT_GT(memo.phases.warmup_s, 0.0);
+    ModelEvaluator fresh;
+    const EvalResponse expect = fresh.evaluate(other);
+    ASSERT_EQ(memo.results.size(), expect.results.size());
+    for (std::size_t i = 0; i < expect.results.size(); ++i) {
+      EXPECT_EQ(exec::encode_result(memo.results[i]),
+                exec::encode_result(expect.results[i]));
+    }
+  }
+}
+
 exec::SweepGrid small_grid() {
   exec::SweepGrid grid;
   const auto smoke = workload::smoke_profiles();

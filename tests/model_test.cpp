@@ -1,21 +1,30 @@
 // Property tests for the analytical critical-path model (src/model/).
 //
 // The model's whole value proposition is that it is safe to *rank* design
-// points with: every resource constraint is a k-back lookup into a
-// prefix-maximum stream, so widening any single resource can only move the
-// lookup earlier and never increase the bound. These tests pin that
-// monotonicity over a real generated trace, plus the zero-cost-interconnect
+// points with: widening any single resource must never increase the
+// predicted cycles. In-order stages (k-back running maxima) and
+// out-of-order windows (order statistics over free times) are monotone in
+// their size by construction; rate resources (first-fit per-cycle
+// placement) are not provably so. These tests pin that monotonicity over a
+// real generated trace for every knob, plus the zero-cost-interconnect
 // collapse that anchors the model's communication charges to zero when the
-// fabric is free.
+// fabric is free, the model's exact output on a search grid, and each
+// constraint structure (model/pools.hpp) against a brute-force oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "harness/experiment.hpp"
 #include "model/critpath.hpp"
+#include "model/pools.hpp"
 #include "workload/profiles.hpp"
 
 namespace vcsteer::model {
@@ -311,6 +320,118 @@ TEST(CritPath, PinnedEstimatesOnSearchGrid) {
     }
   }
   EXPECT_EQ(row, std::size(kPinned));
+}
+
+// --- Differential tests of the walk's constraint structures (pools.hpp) ---
+//
+// Each structure is checked against a brute-force oracle of its definition
+// on seeded random request streams that obey the walk's contract: a floor
+// that never decreases (the in-order dispatch time) and, for RatePool,
+// every request at or above it. One request in 32 lands 500-1100 cycles
+// past the floor (a dependent of a memory miss), which forces the rings to
+// grow; small spreads make many requests tie.
+
+// Next floor and a request time at or above it.
+std::uint64_t next_request(Rng& rng, std::uint64_t* floor,
+                           std::uint64_t spread) {
+  *floor += rng.below(3);
+  if (rng.below(32) == 0) return *floor + 500 + rng.below(600);
+  return *floor + rng.below(spread);
+}
+
+void check_stream(std::uint64_t back, std::uint64_t spread) {
+  SCOPED_TRACE(testing::Message() << "back " << back << " spread " << spread);
+  Stream stream;
+  stream.configure(back);
+  const bool unlimited = back == 0 || back == ~0u;
+  std::vector<std::uint64_t> prefix_max;  // oracle: every running maximum.
+  Rng rng(back * 31 + spread);
+  std::uint64_t floor = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const bool binds = !unlimited && prefix_max.size() >= back;
+    const std::uint64_t want =
+        binds ? prefix_max[prefix_max.size() - back] : 0;
+    ASSERT_EQ(stream.window_bound(), want) << "push " << i;
+    ASSERT_EQ(stream.rate_bound(), binds ? want + 1 : 0) << "push " << i;
+    const std::uint64_t t = next_request(rng, &floor, spread);
+    prefix_max.push_back(
+        std::max(prefix_max.empty() ? 0 : prefix_max.back(), t));
+    stream.push(t);
+  }
+}
+
+void check_free_pool(std::uint64_t capacity, std::uint64_t spread) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity << " spread "
+                                  << spread);
+  FreePool pool;
+  pool.configure(capacity);
+  const bool unlimited = capacity == 0 || capacity == ~0u;
+  std::multiset<std::uint64_t> free_times;  // oracle: every free time.
+  Rng rng(capacity * 17 + spread);
+  std::uint64_t floor = 0;
+  for (int i = 0; i < 4000; ++i) {
+    // The next acquirer waits for the (n-C+1)-th smallest free time.
+    std::uint64_t want = 0;
+    if (!unlimited && free_times.size() >= capacity) {
+      want = *std::next(free_times.begin(), free_times.size() - capacity);
+    }
+    ASSERT_EQ(pool.window_bound(), want) << "push " << i;
+    const std::uint64_t t = next_request(rng, &floor, spread);
+    free_times.insert(t);
+    pool.push(t);
+  }
+}
+
+void check_rate_pool(std::uint64_t width, std::uint64_t spread) {
+  SCOPED_TRACE(testing::Message() << "width " << width << " spread "
+                                  << spread);
+  RatePool pool;
+  pool.configure(width);
+  const bool unlimited = width == 0 || width == ~0u;
+  std::map<std::uint64_t, std::uint64_t> booked;  // oracle: every cycle.
+  Rng rng(width * 13 + spread);
+  std::uint64_t floor = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t ready = next_request(rng, &floor, spread);
+    std::uint64_t want = ready;
+    if (!unlimited) {
+      while (booked[want] >= width) ++want;
+      ++booked[want];
+    }
+    ASSERT_EQ(pool.place(ready, floor), want) << "request " << i;
+  }
+}
+
+TEST(ModelPools, StreamMatchesPrefixMaxOracle) {
+  const std::uint64_t backs[] = {1, 3, 256, 1u << 20, 0, ~0u};
+  for (const std::uint64_t back : backs) {
+    for (const std::uint64_t spread : {2u, 64u}) check_stream(back, spread);
+  }
+}
+
+TEST(ModelPools, FreePoolMatchesSortedMultisetOracle) {
+  const std::uint64_t capacities[] = {1, 3, 48, 1u << 20, 0, ~0u};
+  for (const std::uint64_t capacity : capacities) {
+    for (const std::uint64_t spread : {2u, 64u}) {
+      check_free_pool(capacity, spread);
+    }
+  }
+}
+
+TEST(ModelPools, RatePoolMatchesPerCycleMapOracle) {
+  const std::uint64_t widths[] = {1, 2, 3, 0, ~0u};
+  for (const std::uint64_t width : widths) {
+    for (const std::uint64_t spread : {4u, 64u}) check_rate_pool(width, spread);
+  }
+}
+
+TEST(ModelPoolsDeathTest, RatePoolRequestBelowFloorTrips) {
+  RatePool pool;
+  pool.configure(2);
+  EXPECT_EQ(pool.place(10, 10), 10u);
+  EXPECT_DEATH(pool.place(9, 10), "CHECK failed");
+  // A later, lower floor does not lift the earlier one.
+  EXPECT_DEATH(pool.place(9, 5), "CHECK failed");
 }
 
 }  // namespace
