@@ -93,7 +93,6 @@
 #include "exec/thread_pool.hpp"
 #include "harness/experiment.hpp"
 #include "net/client.hpp"
-#include "sim/kernels.hpp"
 
 namespace vcsteer::bench {
 
@@ -742,8 +741,6 @@ class Output {
     cache_hits_ += sweep.cache_hits;
     corrupt_ += sweep.cache_corrupt;
     experiments_ += sweep.experiments;
-    lane_groups_ += sweep.lane_groups;
-    batched_points_ += sweep.batched_points;
     phases_ += sweep.phases;
     for (const auto& [label, span] : sweep.scheme_simulate_s) {
       schemes_[label].simulate_s += span;
@@ -768,8 +765,6 @@ class Output {
       schemes_[label].simulate_s += span;
     }
     experiments_ += sweep.experiments;
-    lane_groups_ += sweep.lane_groups;
-    batched_points_ += sweep.batched_points;
     phases_ += sweep.phases;
     if (sweep.model.enabled) {
       // Counters sum across sweeps; the rank-agreement stats describe one
@@ -817,9 +812,6 @@ class Output {
     summary.uops = uops_;
     summary.cycles = cycles_;
     summary.experiments = experiments_;
-    summary.lane_groups = lane_groups_;
-    summary.batched_points = batched_points_;
-    summary.kernel = sim::kern::selected_name();
     summary.phases = phases_;
     summary.schemes = schemes_;
     if (launch_report_) {
@@ -856,8 +848,6 @@ class Output {
   std::uint64_t uops_ = 0;
   std::uint64_t cycles_ = 0;
   std::size_t experiments_ = 0;
-  std::size_t lane_groups_ = 0;
-  std::size_t batched_points_ = 0;
   exec::PhaseSeconds phases_;
   std::map<std::string, exec::RunSummary::SchemeSummary> schemes_;
   bool first_ = true;

@@ -20,8 +20,6 @@
 #include "harness/experiment.hpp"
 #include "model/critpath.hpp"
 #include "sim/core.hpp"
-#include "sim/lane_block.hpp"
-#include "sim/sim_batch.hpp"
 #include "sim/sim_context.hpp"
 #include "sim/value_table.hpp"
 #include "workload/pinpoints.hpp"
@@ -169,113 +167,6 @@ void BM_ValueTableChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_ValueTableChurn);
-
-// The same wakeup/select kernel exercised lane-parallel: one CoreState per
-// batch lane, visited round-robin the way SimBatch's lane loop does. The
-// per-entry cost relative to BM_WakeupSelect is the locality price of
-// switching between per-lane working sets (value table, queue slots) —
-// what the batch's blocked lane schedule is tuned to keep near zero.
-void BM_BatchedWakeupSelect(benchmark::State& state) {
-  const MachineConfig cfg = MachineConfig::two_cluster();
-  const prog::Program program = kernel_program();
-  std::vector<std::unique_ptr<sim::CoreState>> lanes;
-  for (std::size_t l = 0; l < sim::kMaxBatchLanes; ++l) {
-    lanes.push_back(std::make_unique<sim::CoreState>(cfg, program));
-  }
-  const std::uint32_t n = cfg.iq_int_entries;
-  for (auto _ : state) {
-    for (auto& lane : lanes) {
-      sim::CoreState& st = *lane;
-      sim::ClusterState& cl = st.clusters[0];
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const sim::Tag tag = st.alloc_value(0, false);
-        const std::uint32_t slot = cl.iq_int.alloc();
-        sim::IqEntry& e = cl.iq_int[slot];
-        e.uop = 0;
-        e.seq = i;
-        e.num_srcs = 1;
-        e.src_tags[0] = tag;
-        e.waiting_srcs = 1;
-        st.add_waiter(tag, 0, sim::WaiterKind::kIqInt, slot);
-      }
-      for (std::uint32_t i = 0; i < n; ++i) {
-        st.publish(static_cast<sim::Tag>(i), 0, 1);
-      }
-      std::uint32_t idx = cl.iq_int.ready_head();
-      while (idx != sim::kNilIdx) {
-        const std::uint32_t next = cl.iq_int[idx].ready_next;
-        cl.iq_int.ready_remove(idx);
-        cl.iq_int.release(idx);
-        idx = next;
-      }
-      benchmark::DoNotOptimize(cl.iq_int.ready_head());
-      st.reset();
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n * lanes.size());
-}
-BENCHMARK(BM_BatchedWakeupSelect);
-
-// The transposed lane block end to end: eight lanes of the same trace
-// advanced by LaneBlock in its default blocked schedule. ns/uop here is the
-// full multi-lane stepping cost — plane gathers, width-8 kernel masks and
-// the phase sweeps included — and is what BENCH_perf.json tracks for the
-// transposed engine.
-void BM_TransposedStep(benchmark::State& state) {
-  const workload::GeneratedWorkload wl = workload::generate(bench_profile());
-  workload::TraceSource trace(wl);
-  const auto entries = trace.take(10'000);
-  const MachineConfig cfg = MachineConfig::two_cluster();
-  std::vector<std::unique_ptr<sim::ClusteredCore>> cores;
-  std::vector<std::unique_ptr<steer::SteeringPolicy>> policies;
-  for (std::size_t l = 0; l < sim::kLaneBlockWidth; ++l) {
-    cores.push_back(std::make_unique<sim::ClusteredCore>(cfg, wl.program));
-    policies.push_back(steer::make_policy(steer::Scheme::kOp, cfg));
-  }
-  for (auto _ : state) {
-    sim::LaneBlock<> block;
-    for (std::size_t l = 0; l < cores.size(); ++l) {
-      cores[l]->begin_run(entries, *policies[l]);
-      block.add_lane(*cores[l]);
-    }
-    block.run(sim::kLaneBlockSteps);
-    for (auto& core : cores) {
-      benchmark::DoNotOptimize(core->finish_run().cycles);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * entries.size() * cores.size());
-}
-BENCHMARK(BM_TransposedStep)->Unit(benchmark::kMillisecond);
-
-// The same eight lanes in pure cycle-major lockstep (stride 1): every pass
-// advances each lane one cycle, phases swept across lanes behind the
-// width-8 eligibility masks. The gap to BM_TransposedStep is the cache-
-// locality price of cycle-granular lane interleave.
-void BM_TransposedStepLockstep(benchmark::State& state) {
-  const workload::GeneratedWorkload wl = workload::generate(bench_profile());
-  workload::TraceSource trace(wl);
-  const auto entries = trace.take(10'000);
-  const MachineConfig cfg = MachineConfig::two_cluster();
-  std::vector<std::unique_ptr<sim::ClusteredCore>> cores;
-  std::vector<std::unique_ptr<steer::SteeringPolicy>> policies;
-  for (std::size_t l = 0; l < sim::kLaneBlockWidth; ++l) {
-    cores.push_back(std::make_unique<sim::ClusteredCore>(cfg, wl.program));
-    policies.push_back(steer::make_policy(steer::Scheme::kOp, cfg));
-  }
-  for (auto _ : state) {
-    sim::LaneBlock<> block;
-    for (std::size_t l = 0; l < cores.size(); ++l) {
-      cores[l]->begin_run(entries, *policies[l]);
-      block.add_lane(*cores[l]);
-    }
-    block.run(1);
-    for (auto& core : cores) {
-      benchmark::DoNotOptimize(core->finish_run().cycles);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * entries.size() * cores.size());
-}
-BENCHMARK(BM_TransposedStepLockstep)->Unit(benchmark::kMillisecond);
 
 // Churn on the SoA ValueTable directly: free-list alloc, availability
 // publish (mark_avail), the steer-side mask probe, and free. Unlike

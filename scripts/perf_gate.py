@@ -32,16 +32,15 @@ to the median. Output schema:
 run actually spent its time — trace generation vs. the cycle loop).
 MICROBENCH_JSON, when given, is a google-benchmark --benchmark_format=json
 report; the gate records the wakeup/select and value-table kernels (scalar
-and batched/SoA variants), arena reuse, the transposed lane-block step and
-the analytical model's walk — see TRACKED_KERNELS — so the committed baseline tracks kernel-level
+and SoA variants), arena reuse and the analytical model's walk — see
+TRACKED_KERNELS — so the committed baseline tracks kernel-level
 trajectories alongside the end-to-end rate. Run the microbench with
 --benchmark_repetitions=3: the gate prefers each kernel's "median"
 aggregate over single-repetition samples, the same wobble defence as the
 multi-summary median.
 
 Per-scheme rates come from the summary's "schemes" map when present: the
-bench attributes each scheme's own simulate span (batched lanes split the
-batch's measured span by per-lane step counts), so the rates differ per
+bench attributes each scheme's own simulate span, so the rates differ per
 scheme. With an older summary the gate falls back to splitting the
 per-point uops over the shared wall clock.
 Wall-clock numbers are only comparable run-over-run on one machine, so the
@@ -67,9 +66,8 @@ def host_id() -> str:
 
 
 # Microbench kernels tracked in the baseline (bench/microbench.cpp).
-TRACKED_KERNELS = ("BM_WakeupSelect", "BM_BatchedWakeupSelect",
-                   "BM_ValueTableChurn", "BM_SoAValueTableChurn",
-                   "BM_ArenaRunReused", "BM_TransposedStep",
+TRACKED_KERNELS = ("BM_WakeupSelect", "BM_ValueTableChurn",
+                   "BM_SoAValueTableChurn", "BM_ArenaRunReused",
                    "BM_ModelWalk")
 
 
@@ -148,9 +146,8 @@ def main() -> int:
     schemes = {}
     measured = summary.get("schemes", {})
     if isinstance(measured, dict) and measured:
-        # The bench attributed each scheme's own simulate span (batched
-        # lanes split the batch's span by step count), so per-scheme rates
-        # are real throughputs, not one shared wall clock.
+        # The bench attributed each scheme's own simulate span, so
+        # per-scheme rates are real throughputs, not one shared wall clock.
         for label, entry in measured.items():
             uops = int(entry.get("uops", 0))
             sim_s = float(entry.get("simulate_s", 0.0))

@@ -12,11 +12,12 @@
 //
 // The request carries one (trace, machine) cell with *all* its scheme
 // requests at once, because both backends amortise per-cell work across
-// schemes: the simulator coalesces schemes into batched lanes sharing one
-// interleaved cycle loop, the model shares one materialised trace and one
-// functional memory replay per cache geometry. exec::run_sweep's two-stage
-// pruned mode (--prune-model K) estimates every grid point with
-// ModelEvaluator and spends SimEvaluator only on the top-K frontier.
+// schemes: the simulator shares one materialised trace and one warmed
+// cache hierarchy per simulation point, the model shares one materialised
+// trace and one functional memory replay per cache geometry.
+// exec::run_sweep's two-stage pruned mode (--prune-model K) estimates every
+// grid point with ModelEvaluator and spends SimEvaluator only on the top-K
+// frontier.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +44,6 @@ struct EvalRequest {
   MachineConfig machine;
   harness::SimBudget budget;
   std::vector<harness::SchemeRequest> schemes;
-  /// Lane width for backends that coalesce schemes (SimEvaluator); 1
-  /// disables coalescing. Results are bit-identical for every value.
-  std::uint32_t batch_lanes = 1;
 };
 
 struct EvalResponse {
@@ -56,7 +54,6 @@ struct EvalResponse {
   harness::PhaseTimes phases;
   /// Per-scheme-label share of the simulate/walk span.
   std::map<std::string, double> scheme_simulate_s;
-  harness::EvalCounters counters;
   /// Trace experiments constructed serving this call (0 when the backend
   /// reused a memoised trace).
   std::size_t experiments = 0;

@@ -6,8 +6,7 @@ EvalResponse SimEvaluator::evaluate(const EvalRequest& request) {
   harness::TraceExperiment experiment(request.profile, request.machine,
                                       request.budget);
   EvalResponse response;
-  response.results = experiment.evaluate(request.schemes, request.batch_lanes,
-                                         &response.counters);
+  response.results = experiment.evaluate(request.schemes);
   response.phases = experiment.phases();
   response.scheme_simulate_s = experiment.scheme_simulate_s();
   response.experiments = 1;

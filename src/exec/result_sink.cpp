@@ -20,9 +20,7 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"cache_hits\":" << s.cache_hits
      << ",\"skipped\":" << s.skipped
      << ",\"corrupt_recovered\":" << s.corrupt_recovered
-     << ",\"uops\":" << s.uops
-     << ",\"lane_groups\":" << s.lane_groups
-     << ",\"batched_points\":" << s.batched_points << "}"
+     << ",\"uops\":" << s.uops << "}"
      << ",\"phases\":{\"trace_build_s\":" << num(s.phases.trace_build)
      << ",\"annotate_s\":" << num(s.phases.annotate)
      << ",\"warmup_s\":" << num(s.phases.warmup)
@@ -40,8 +38,7 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
   }
   os << "}"
      << ",\"events\":{\"experiments\":" << s.experiments
-     << ",\"cycles\":" << s.cycles
-     << ",\"kernel\":" << stats::json_quote(s.kernel) << "}";
+     << ",\"cycles\":" << s.cycles << "}";
   if (s.launch_workers == 0) {
     os << ",\"launch\":null";
   } else {

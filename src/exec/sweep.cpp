@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
-#include <string_view>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "eval/model_evaluator.hpp"
 #include "eval/sim_evaluator.hpp"
 #include "exec/thread_pool.hpp"
-#include "sim/sim_batch.hpp"
 
 namespace vcsteer::exec {
 
@@ -94,35 +89,6 @@ double spearman_correlation(const std::vector<double>& a,
 
 }  // namespace
 
-std::uint32_t resolve_batch_lanes(std::uint32_t requested) {
-  std::uint32_t lanes = requested;
-  if (lanes == 0) {
-    const char* env = std::getenv("VCSTEER_BATCH");
-    if (env == nullptr) {
-      lanes = static_cast<std::uint32_t>(sim::kMaxBatchLanes);
-    } else if (std::string_view(env) == "off") {
-      lanes = 1;
-    } else {
-      char* end = nullptr;
-      errno = 0;
-      const long parsed = std::strtol(env, &end, 10);
-      if (*env == '\0' || end == env || *end != '\0' || errno != 0 ||
-          parsed < 1) {
-        VCSTEER_LOG_WARN(
-            "VCSTEER_BATCH=\"%s\" is not \"off\" or a positive lane count; "
-            "running unbatched (1 lane)",
-            env);
-        lanes = 1;
-      } else {
-        lanes = static_cast<std::uint32_t>(
-            std::min<long>(parsed, sim::kMaxBatchLanes));
-      }
-    }
-  }
-  return std::clamp<std::uint32_t>(
-      lanes, 1, static_cast<std::uint32_t>(sim::kMaxBatchLanes));
-}
-
 std::uint64_t grid_fingerprint(const SweepGrid& grid,
                                std::uint64_t seed_salt) {
   std::string all;
@@ -195,14 +161,11 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   std::atomic<std::size_t> cache_hits{0};
   std::atomic<std::size_t> cache_corrupt{0};
   std::atomic<std::size_t> experiments{0};
-  std::atomic<std::size_t> lane_groups{0};
-  std::atomic<std::size_t> batched_points{0};
   std::atomic<std::size_t> jobs_done{0};
   std::mutex progress_mutex;
   std::mutex phases_mutex;
   PhaseSeconds phases;
   std::map<std::string, double> scheme_simulate_s;
-  const std::uint32_t batch_lanes = resolve_batch_lanes(opt.batch_lanes);
   using Clock = std::chrono::steady_clock;
   auto seconds_since = [](Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -257,7 +220,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
         missing.push_back(s);
       }
       if (!missing.empty()) {
-        eval::EvalRequest request{profile, machine, grid.budget, {}, 1};
+        eval::EvalRequest request{profile, machine, grid.budget, {}};
         for (const std::size_t s : missing) {
           request.schemes.push_back(grid.schemes[s]);
         }
@@ -381,17 +344,12 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     }
 
     if (!missing.empty()) {
-      eval::EvalRequest request{profile, machine, grid.budget, {},
-                                batch_lanes};
+      eval::EvalRequest request{profile, machine, grid.budget, {}};
       for (const std::size_t s : missing) {
         request.schemes.push_back(grid.schemes[s]);
       }
       eval::EvalResponse response = sim_evaluator.evaluate(request);
       experiments.fetch_add(response.experiments, std::memory_order_relaxed);
-      lane_groups.fetch_add(response.counters.lane_groups,
-                            std::memory_order_relaxed);
-      batched_points.fetch_add(response.counters.batched_points,
-                               std::memory_order_relaxed);
       for (std::size_t i = 0; i < missing.size(); ++i) {
         const std::size_t s = missing[i];
         result.slot(t, m, s) = std::move(response.results[i]);
@@ -540,8 +498,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   result.cache_hits = cache_hits.load();
   result.cache_corrupt = cache_corrupt.load();
   result.experiments = experiments.load();
-  result.lane_groups = lane_groups.load();
-  result.batched_points = batched_points.load();
   result.phases = phases;
   result.scheme_simulate_s = std::move(scheme_simulate_s);
   return result;

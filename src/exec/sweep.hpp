@@ -92,13 +92,6 @@ struct SweepOptions {
   /// Called after each (trace, machine) job completes, from the worker
   /// thread (serialised by the runner). done/total count this shard's jobs.
   std::function<void(std::size_t done, std::size_t total)> progress;
-  /// Lanes per batched group when coalescing a job's built-in schemes into
-  /// one TraceExperiment::run_batch pass (results stay bit-identical;
-  /// custom-policy schemes always run singleton). 0 resolves from the
-  /// VCSTEER_BATCH environment variable ("off" or a lane count; unset =
-  /// sim::kMaxBatchLanes); 1 disables coalescing. Clamped to
-  /// [1, sim::kMaxBatchLanes].
-  std::uint32_t batch_lanes = 0;
   /// Two-stage pruned search (--prune-model K; 0 = off). When set, every
   /// grid point is first scored by the analytical critical-path model
   /// (eval::ModelEvaluator; cached under the "model" key namespace), the
@@ -162,11 +155,6 @@ class SweepResult {
   /// TraceExperiments actually constructed (jobs with at least one cache
   /// miss); 0 on a fully warm sweep.
   std::size_t experiments = 0;
-  /// Batched lane groups executed and the points they covered (the rest of
-  /// `simulated` ran singleton: custom policies, leftover chunks of one,
-  /// or coalescing disabled).
-  std::size_t lane_groups = 0;
-  std::size_t batched_points = 0;
   /// Jobs this run acquired from SweepOptions::queue (0 in static-shard
   /// mode): the per-worker work-stealing tally surfaced in --summary-json.
   std::size_t jobs_pulled = 0;
@@ -186,8 +174,7 @@ class SweepResult {
   /// Per-phase wall-clock spans, summed over all jobs of this run.
   PhaseSeconds phases;
   /// Simulate span per scheme label, summed over all jobs (cache-served
-  /// points contribute nothing — no cycle loop ran for them). Batched
-  /// lanes report their proportional share of the shared loop.
+  /// points contribute nothing — no cycle loop ran for them).
   std::map<std::string, double> scheme_simulate_s;
 
  private:
@@ -205,12 +192,5 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt);
 /// leasing jobs from a vcsteer-sweepd use it as the sweep id, so two workers
 /// only share a lease queue when they would produce byte-identical grids.
 std::uint64_t grid_fingerprint(const SweepGrid& grid, std::uint64_t seed_salt);
-
-/// Lane count for scheme coalescing: the explicit `requested` wins, then the
-/// VCSTEER_BATCH environment variable ("off" or a lane count), then the
-/// sim-layer maximum. An unparseable VCSTEER_BATCH (empty, trailing garbage
-/// like "4x", negative) warns loudly and falls back to 1 lane — it never
-/// silently half-parses. Always returns a value in [1, sim::kMaxBatchLanes].
-std::uint32_t resolve_batch_lanes(std::uint32_t requested);
 
 }  // namespace vcsteer::exec

@@ -8,8 +8,8 @@
 #include "compiler/ob_pass.hpp"
 #include "compiler/rhop_pass.hpp"
 #include "compiler/vc_pass.hpp"
+#include "mem/hierarchy.hpp"
 #include "sim/core.hpp"
-#include "sim/sim_batch.hpp"
 #include "sim/sim_context.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/trace.hpp"
@@ -34,10 +34,8 @@ workload::GeneratedWorkload timed_generate(
 }
 
 // PinPoints-weighted accumulation of one scheme's simulation points into a
-// RunResult. Shared by the singleton (run_annotated) and batched
-// (run_batch) paths so both produce bit-identical aggregates: the
-// floating-point operations and their order are exactly the historical
-// run_annotated loop's.
+// RunResult: the floating-point operations and their order are exactly the
+// historical run_annotated loop's.
 class WeightedAccum {
  public:
   WeightedAccum(std::string trace, std::string scheme,
@@ -231,7 +229,8 @@ TraceExperiment::TraceExperiment(const workload::WorkloadProfile& profile,
   phases_.trace_build_s += seconds_since(t0);
 }
 
-TraceExperiment::~TraceExperiment() = default;  // ctx_ needs SimContext here
+// Defined here, where SimContext and MemoryHierarchy are complete types.
+TraceExperiment::~TraceExperiment() = default;
 
 RunResult TraceExperiment::eval_spec(const SchemeSpec& spec) {
   const Clock::time_point t0 = Clock::now();
@@ -247,64 +246,18 @@ RunResult TraceExperiment::eval_custom(steer::SteeringPolicy& policy,
   return run_annotated(policy, label);
 }
 
-RunResult TraceExperiment::run(const SchemeSpec& spec) {
-  return eval_spec(spec);
-}
-
-RunResult TraceExperiment::run(steer::SteeringPolicy& policy,
-                               const std::string& label) {
-  return eval_custom(policy, label);
-}
-
-std::vector<RunResult> TraceExperiment::run_batch(
-    std::span<const SchemeSpec> specs) {
-  return eval_batch(specs);
-}
-
 std::vector<RunResult> TraceExperiment::evaluate(
-    std::span<const SchemeRequest> requests, std::uint32_t batch_lanes,
-    EvalCounters* counters) {
+    std::span<const SchemeRequest> requests) {
   VCSTEER_CHECK(!requests.empty());
-  std::vector<RunResult> results(requests.size());
-  // Coalesce the built-in requests into lane groups of batch_lanes: one
-  // batched pass warms each simulation point once for the whole group
-  // instead of once per scheme, bit-identically. Custom-policy requests
-  // stay singleton (a SchemeSpec cannot describe them), as do leftover
-  // groups of one (nothing to share).
-  std::vector<std::size_t> singleton;
-  std::vector<std::size_t> batchable;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    (requests[i].is_custom() || batch_lanes <= 1 ? singleton : batchable)
-        .push_back(i);
-  }
-  for (std::size_t begin = 0; begin < batchable.size(); begin += batch_lanes) {
-    const std::size_t end = std::min(batchable.size(), begin + batch_lanes);
-    if (end - begin == 1) {
-      singleton.push_back(batchable[begin]);
-      continue;
-    }
-    std::vector<SchemeSpec> specs;
-    specs.reserve(end - begin);
-    for (std::size_t g = begin; g < end; ++g) {
-      specs.push_back(requests[batchable[g]].spec);
-    }
-    std::vector<RunResult> outs = eval_batch(specs);
-    if (counters != nullptr) {
-      ++counters->lane_groups;
-      counters->batched_points += end - begin;
-    }
-    for (std::size_t g = begin; g < end; ++g) {
-      results[batchable[g]] = std::move(outs[g - begin]);
-    }
-  }
-  for (const std::size_t i : singleton) {
-    const SchemeRequest& req = requests[i];
+  std::vector<RunResult> results;
+  results.reserve(requests.size());
+  for (const SchemeRequest& req : requests) {
     if (req.is_custom()) {
       const auto policy = req.make_policy(machine_);
       VCSTEER_CHECK_MSG(policy != nullptr, "custom factory returned null");
-      results[i] = eval_custom(*policy, req.custom_tag);
+      results.push_back(eval_custom(*policy, req.custom_tag));
     } else {
-      results[i] = eval_spec(req.spec);
+      results.push_back(eval_spec(req.spec));
     }
   }
   return results;
@@ -315,13 +268,22 @@ RunResult TraceExperiment::run_annotated(steer::SteeringPolicy& policy,
   // One arena for the experiment's lifetime: every scheme and simulation
   // point reuses the same core, reset in place per run.
   if (!ctx_) ctx_ = std::make_unique<sim::SimContext>(machine_, wl_.program);
+  if (warmed_.empty()) {
+    const Clock::time_point t0 = Clock::now();
+    warmed_.reserve(points_.size());
+    for (const std::vector<std::uint64_t>& addrs : warm_addrs_) {
+      mem::MemoryHierarchy& hierarchy = warmed_.emplace_back(machine_);
+      for (const std::uint64_t addr : addrs) hierarchy.warm(addr);
+    }
+    phases_.warmup_s += seconds_since(t0);
+  }
   sim::ClusteredCore& core = ctx_->core();
   WeightedAccum acc(wl_.profile.name, std::move(label), points_.size(),
                     machine_.num_clusters);
   sim::RunPhases run_phases;
   for (std::size_t i = 0; i < points_.size(); ++i) {
     const sim::SimStats stats =
-        core.run(intervals_[i], policy, warm_addrs_[i], &run_phases);
+        core.run(intervals_[i], policy, warmed_[i], &run_phases);
     // Harvest the run's observer sink before the next run() re-arms it.
     acc.add_point(points_[i].weight, stats, core.observer(),
                   machine_.num_clusters);
@@ -331,59 +293,6 @@ RunResult TraceExperiment::run_annotated(steer::SteeringPolicy& policy,
   RunResult result = acc.finalize(machine_.num_clusters);
   scheme_simulate_s_[result.scheme] += run_phases.simulate_s;
   return result;
-}
-
-std::vector<RunResult> TraceExperiment::eval_batch(
-    std::span<const SchemeSpec> specs) {
-  VCSTEER_CHECK(!specs.empty());
-  VCSTEER_CHECK_MSG(specs.size() <= sim::kMaxBatchLanes,
-                    "more schemes than batch lanes");
-  if (!ctx_) ctx_ = std::make_unique<sim::SimContext>(machine_, wl_.program);
-
-  // Annotate each scheme into its lane's private program copy (the passes
-  // mutate hints in place, so lanes cannot share wl_.program) and build
-  // its hardware policy.
-  std::vector<sim::ClusteredCore*> cores;
-  std::vector<std::unique_ptr<steer::SteeringPolicy>> policies;
-  std::vector<WeightedAccum> accs;
-  cores.reserve(specs.size());
-  policies.reserve(specs.size());
-  accs.reserve(specs.size());
-  for (std::size_t k = 0; k < specs.size(); ++k) {
-    const Clock::time_point t0 = Clock::now();
-    annotate_for_scheme(wl_.program, specs[k], machine_);
-    phases_.annotate_s += seconds_since(t0);
-    cores.push_back(&ctx_->lane_core(k, wl_.program));
-    policies.push_back(policy_for_scheme(specs[k], machine_));
-    accs.emplace_back(wl_.profile.name, specs[k].label(machine_),
-                      points_.size(), machine_.num_clusters);
-  }
-
-  std::vector<RunResult> results;
-  std::vector<sim::RunPhases> lane_phases(specs.size());
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    sim::SimBatch batch;
-    for (std::size_t k = 0; k < specs.size(); ++k) {
-      batch.add_lane(*cores[k], *policies[k], intervals_[i], warm_addrs_[i]);
-    }
-    batch.run();
-    for (std::size_t k = 0; k < specs.size(); ++k) {
-      const sim::SimBatch::Lane& ln = batch.lane(k);
-      accs[k].add_point(points_[i].weight, ln.stats, cores[k]->observer(),
-                        machine_.num_clusters);
-      lane_phases[k].warmup_s += ln.phases.warmup_s;
-      lane_phases[k].simulate_s += ln.phases.simulate_s;
-    }
-  }
-  results.reserve(specs.size());
-  for (std::size_t k = 0; k < specs.size(); ++k) {
-    RunResult result = accs[k].finalize(machine_.num_clusters);
-    phases_.warmup_s += lane_phases[k].warmup_s;
-    phases_.simulate_s += lane_phases[k].simulate_s;
-    scheme_simulate_s_[result.scheme] += lane_phases[k].simulate_s;
-    results.push_back(std::move(result));
-  }
-  return results;
 }
 
 }  // namespace vcsteer::harness

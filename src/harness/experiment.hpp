@@ -26,6 +26,9 @@
 #include "workload/generator.hpp"
 #include "workload/pinpoints.hpp"
 
+namespace vcsteer::mem {
+class MemoryHierarchy;
+}
 namespace vcsteer::sim {
 class SimContext;
 }
@@ -144,13 +147,6 @@ struct PhaseTimes {
   }
 };
 
-/// Batch/singleton execution tallies of one TraceExperiment::evaluate call
-/// (surfaced through exec::SweepResult and --summary-json).
-struct EvalCounters {
-  std::size_t lane_groups = 0;    ///< batched groups executed.
-  std::size_t batched_points = 0; ///< results produced by those groups.
-};
-
 class TraceExperiment {
  public:
   TraceExperiment(const workload::WorkloadProfile& profile,
@@ -158,29 +154,10 @@ class TraceExperiment {
   ~TraceExperiment();
 
   /// THE evaluation entry point: every request — built-in scheme or custom
-  /// policy — of one (trace, machine) cell in one call. Built-in requests
-  /// are coalesced into batched lane groups of up to `batch_lanes` (one
-  /// interleaved cycle loop warms each simulation point once for the whole
-  /// group); custom-policy requests and leftover groups of one run
-  /// singleton. Results come back in request order and are bit-identical
-  /// for every `batch_lanes`, including 1. `counters` (optional) receives
-  /// the batch-execution tallies.
-  std::vector<RunResult> evaluate(std::span<const SchemeRequest> requests,
-                                  std::uint32_t batch_lanes = 1,
-                                  EvalCounters* counters = nullptr);
-
-  /// Deprecated single-scheme entry point; use evaluate().
-  [[deprecated("use evaluate()")]] RunResult run(const SchemeSpec& spec);
-
-  /// Deprecated always-batched entry point; use evaluate() with
-  /// batch_lanes >= specs.size(), which produces the same bits.
-  [[deprecated("use evaluate()")]] std::vector<RunResult> run_batch(
-      std::span<const SchemeSpec> specs);
-
-  /// Deprecated caller-constructed-policy entry point; use evaluate() with
-  /// a custom SchemeRequest (tag + factory).
-  [[deprecated("use evaluate()")]] RunResult run(steer::SteeringPolicy& policy,
-                                                 const std::string& label);
+  /// policy — of one (trace, machine) cell in one call, each simulated on
+  /// its own over every simulation point. Results come back in request
+  /// order and do not depend on how requests are split across calls.
+  std::vector<RunResult> evaluate(std::span<const SchemeRequest> requests);
 
   const workload::GeneratedWorkload& workload() const { return wl_; }
   const std::vector<workload::SimPoint>& simpoints() const { return points_; }
@@ -198,10 +175,9 @@ class TraceExperiment {
   /// Wall-clock spans accumulated over this experiment's lifetime
   /// (construction + every run so far).
   const PhaseTimes& phases() const { return phases_; }
-  /// Simulate span per scheme label (each run's own cycle-loop span; in a
-  /// batch, the shared span attributed proportionally to each lane's step
-  /// count). Lets callers derive honest per-scheme throughput instead of
-  /// dividing one shared wall clock evenly.
+  /// Simulate span per scheme label (each run's own cycle-loop span). Lets
+  /// callers derive honest per-scheme throughput instead of dividing one
+  /// shared wall clock evenly.
   const std::map<std::string, double>& scheme_simulate_s() const {
     return scheme_simulate_s_;
   }
@@ -209,10 +185,9 @@ class TraceExperiment {
  private:
   /// Weighted simulation of all points under an already-annotated program.
   RunResult run_annotated(steer::SteeringPolicy& policy, std::string label);
-  /// The three execution shapes behind evaluate() (and the deprecated
-  /// shims): one built-in scheme, a batched lane group, a custom policy.
+  /// The two request shapes behind evaluate(): a built-in scheme (software
+  /// pass + its hardware policy) and a custom policy.
   RunResult eval_spec(const SchemeSpec& spec);
-  std::vector<RunResult> eval_batch(std::span<const SchemeSpec> specs);
   RunResult eval_custom(steer::SteeringPolicy& policy,
                         const std::string& label);
 
@@ -231,6 +206,10 @@ class TraceExperiment {
   /// Per simulation point: addresses of all memory operations preceding it
   /// in the trace, used to functionally warm the cache hierarchy.
   std::vector<std::vector<std::uint64_t>> warm_addrs_;
+  /// Per simulation point: a hierarchy functionally warmed over that
+  /// point's warm_addrs_, built once on the first simulated request. Every
+  /// run adopts its point's snapshot instead of replaying the addresses.
+  std::vector<mem::MemoryHierarchy> warmed_;
 };
 
 /// Per-pair compile-time communication-cost matrix for `n` placement

@@ -50,7 +50,7 @@ class MemoryHierarchy {
   bool warm_compatible(const MemoryHierarchy& other) const;
 
   /// Adopt `other`'s cache contents in place of replaying warm() over the
-  /// same address stream (batched lanes sharing a simulation point). The
+  /// same address stream (a simulation point's warm-state snapshot). The
   /// caller guarantees warm_compatible(other) and that this hierarchy is
   /// freshly reset; port state and stats are untouched, exactly as after
   /// local warming.

@@ -88,160 +88,22 @@ class ClusteredCoreT : public steer::SteerView {
                steer::SteeringPolicy& policy,
                std::span<const std::uint64_t> warm_addrs = {},
                RunPhases* phases = nullptr) {
-    using Clock = std::chrono::steady_clock;
-    Clock::time_point t0;
-    if (phases != nullptr) t0 = Clock::now();
-    begin_run(trace, policy, warm_addrs);
-    Clock::time_point t1;
-    if (phases != nullptr) {
-      t1 = Clock::now();
-      phases->warmup_s += std::chrono::duration<double>(t1 - t0).count();
-    }
-    while (!done()) step();
-    const SimStats stats = finish_run();
-    if (phases != nullptr) {
-      phases->simulate_s +=
-          std::chrono::duration<double>(Clock::now() - t1).count();
-    }
-    return stats;
+    return run_warmed(trace, policy, phases, [&] {
+      for (const std::uint64_t addr : warm_addrs) memory_.warm(addr);
+    });
   }
 
-  // ----- stepwise run API (SimBatchT interleaves lanes through these) -----
-
-  /// Reset the core and the policy, warm the cache hierarchy, and arm the
-  /// run. Pair with step()-until-done() and finish_run(). run() is this
-  /// sequence with wall-clock bookkeeping; results are identical.
-  void begin_run(std::span<const workload::TraceEntry> trace,
-                 steer::SteeringPolicy& policy,
-                 std::span<const std::uint64_t> warm_addrs = {}) {
-    reset();
-    policy.reset();
-    trace_ = trace;
-    policy_ = &policy;
-    state_.track_stale_view = policy.uses_stale_view();
-    for (const std::uint64_t addr : warm_addrs) memory_.warm(addr);
-    if constexpr (Obs::enabled) obs_.on_run_begin(state_);
+  /// run() from a warm-state snapshot: adopts `warmed`'s cache contents
+  /// (a hierarchy of the same geometry, already warmed over this segment's
+  /// warm addresses) instead of replaying the addresses — bit-identical,
+  /// since functional warming is deterministic.
+  SimStats run(std::span<const workload::TraceEntry> trace,
+               steer::SteeringPolicy& policy,
+               const mem::MemoryHierarchy& warmed,
+               RunPhases* phases = nullptr) {
+    return run_warmed(trace, policy, phases,
+                      [&] { memory_.adopt_warm_state(warmed); });
   }
-
-  /// begin_run for a batched lane that shares another lane's simulation
-  /// point: adopts `warmed`'s cache contents (the donor must satisfy
-  /// memory().warm_compatible) instead of replaying the warm addresses —
-  /// bit-identical, since functional warming is deterministic.
-  void begin_run_prewarmed(std::span<const workload::TraceEntry> trace,
-                           steer::SteeringPolicy& policy,
-                           const mem::MemoryHierarchy& warmed) {
-    reset();
-    policy.reset();
-    trace_ = trace;
-    policy_ = &policy;
-    state_.track_stale_view = policy.uses_stale_view();
-    memory_.adopt_warm_state(warmed);
-    if constexpr (Obs::enabled) obs_.on_run_begin(state_);
-  }
-
-  /// True once the armed trace has fully fetched, dispatched and retired.
-  bool done() const { return frontend_.drained(trace_) && commit_.empty(); }
-
-  /// Advance one cycle (or jump a provably idle span when the observer
-  /// allows it). Caller loops until done().
-  void step() {
-    if constexpr (kSkipIdle) skip_idle_cycles(trace_);
-    phase_cycle_begin();
-    phase_commit();
-    phase_complete();
-    phase_select();
-    phase_dispatch();
-    phase_fetch();
-    phase_cycle_end();
-  }
-
-  /// Advance up to `max_steps` cycles, stopping at done(); returns the
-  /// step() calls made. The batched drivers (sim/sim_batch.hpp,
-  /// sim/lane_block.hpp) use this as the per-lane visit primitive — it is
-  /// exactly the step()-until-done() loop.
-  std::uint64_t run_span(std::uint64_t max_steps) {
-    std::uint64_t steps = 0;
-    while (steps < max_steps && !done()) {
-      step();
-      ++steps;
-    }
-    return steps;
-  }
-
-  // ----- pipeline phases --------------------------------------------------
-  // step() sequences these in reverse pipeline order; the transposed lane
-  // block (sim/lane_block.hpp) drives the same entry points cycle-major
-  // across lanes. Either caller produces identical bits: the phases are the
-  // former step() body, split.
-
-  void phase_cycle_begin() {
-    if constexpr (Obs::enabled) obs_.on_cycle_begin(state_.cycle);
-  }
-  void phase_commit() { commit_.commit(); }
-  void phase_complete() { commit_.complete(); }
-
-  /// Wakeup/select: visit only the (cluster, queue) pairs whose
-  /// ready-summary bit is set, in ascending cluster order — the order of
-  /// the former dense loop, which is load-bearing because clusters contend
-  /// for shared cache ports in issue order. Queues with empty ready lists
-  /// contributed nothing to the dense walk, so the masked walk is
-  /// bit-identical while skipping the dead calls.
-  void phase_select() {
-    std::uint32_t rs = state_.ready_summary;
-    while (rs != 0) {
-      const auto c = static_cast<std::uint32_t>(std::countr_zero(rs)) / 3u;
-      const std::uint32_t bits = (rs >> (c * 3)) & 7u;
-      backends_[c].issue_some((bits & 1u) != 0, (bits & 2u) != 0);
-      if ((bits & 4u) != 0) copies_.issue(c);
-      rs &= ~(7u << (c * 3));
-    }
-  }
-
-  void phase_dispatch() { steer_.dispatch(*policy_, *this); }
-  void phase_fetch() { frontend_.fetch(trace_, state_.cycle, obs_); }
-
-  void phase_cycle_end() {
-    // Occupancy bookkeeping for balance and copy-network diagnostics now
-    // lives in StatsObserver::on_cycle_end (same point of the cycle, same
-    // counters — bit-identical to the previously inlined loop).
-    if constexpr (Obs::enabled) obs_.on_cycle_end(state_);
-    ++state_.cycle;
-    VCSTEER_CHECK_MSG(state_.cycle < kCycleLimit, "simulator wedged");
-  }
-
-  /// The idle-cycle fast-forward, for drivers sequencing phases themselves
-  /// (no-op unless the observer is cycle-skip safe — same gate as step()).
-  void try_skip_idle() {
-    if constexpr (kSkipIdle) skip_idle_cycles(trace_);
-  }
-
-  // ----- lane-plane probes (sim/lane_block.hpp gathers these) -------------
-  std::uint64_t cycle() const { return state_.cycle; }
-  std::uint32_t ready_summary() const { return state_.ready_summary; }
-  bool maybe_commit() const { return commit_.maybe_commit(); }
-  /// Conservative earliest cycle the completion wheel could have work.
-  std::uint64_t next_due_hint() const {
-    return state_.completions.next_due_hint(state_.cycle);
-  }
-  /// True when fetch or dispatch could make progress this cycle.
-  bool frontend_active() const {
-    return frontend_.can_fetch(trace_) || frontend_.has_ready(state_.cycle);
-  }
-
-  /// Finalize stats after done() and disarm the run; returns the stats.
-  SimStats finish_run() {
-    state_.stats.cycles = state_.cycle;
-    state_.stats.memory = memory_.stats();
-    state_.stats.avoided_contended_links = policy_->avoided_contended_links();
-    copies_.flush_stats();
-    if constexpr (Obs::enabled) obs_.on_run_end(state_);
-    policy_ = nullptr;
-    trace_ = {};
-    return state_.stats;
-  }
-
-  /// The run's cache hierarchy (warm-state donor for batched lanes).
-  const mem::MemoryHierarchy& memory() const { return memory_; }
 
   // --- SteerView (what the steering unit can inspect) ---
   std::uint32_t num_clusters() const override { return config_.num_clusters; }
@@ -296,12 +158,12 @@ class ClusteredCoreT : public steer::SteerView {
   Obs& observer() { return obs_; }
   const Obs& observer() const { return obs_; }
 
+ private:
+  static constexpr std::uint64_t kCycleLimit = 1ULL << 40;  // hang detector
+
   /// Idle-cycle fast-forward enabled only when the observer opted in
   /// (Obs::cycle_skip_safe); observers recording per-cycle data keep the
-  /// full stepping. Results are bit-identical either way. Public because
-  /// the transposed lane block (sim/lane_block.hpp) uses the same gate:
-  /// skip-safe observers take the transposed path, the rest keep the
-  /// per-lane scalar loop.
+  /// full stepping. Results are bit-identical either way.
   static constexpr bool kSkipIdle = [] {
     if constexpr (requires { Obs::cycle_skip_safe; }) {
       return static_cast<bool>(Obs::cycle_skip_safe);
@@ -310,8 +172,92 @@ class ClusteredCoreT : public steer::SteerView {
     }
   }();
 
- private:
-  static constexpr std::uint64_t kCycleLimit = 1ULL << 40;  // hang detector
+  /// The body of both run() forms: reset the core and the policy, warm the
+  /// cache hierarchy through `warm`, arm the run, step until the segment
+  /// has fully fetched, dispatched and retired, and finalize the stats.
+  template <typename WarmFn>
+  SimStats run_warmed(std::span<const workload::TraceEntry> trace,
+                      steer::SteeringPolicy& policy, RunPhases* phases,
+                      WarmFn warm) {
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point t0;
+    if (phases != nullptr) t0 = Clock::now();
+    reset();
+    policy.reset();
+    trace_ = trace;
+    policy_ = &policy;
+    state_.track_stale_view = policy.uses_stale_view();
+    warm();
+    if constexpr (Obs::enabled) obs_.on_run_begin(state_);
+    Clock::time_point t1;
+    if (phases != nullptr) {
+      t1 = Clock::now();
+      phases->warmup_s += std::chrono::duration<double>(t1 - t0).count();
+    }
+    while (!(frontend_.drained(trace_) && commit_.empty())) step();
+    state_.stats.cycles = state_.cycle;
+    state_.stats.memory = memory_.stats();
+    state_.stats.avoided_contended_links = policy_->avoided_contended_links();
+    copies_.flush_stats();
+    if constexpr (Obs::enabled) obs_.on_run_end(state_);
+    policy_ = nullptr;
+    trace_ = {};
+    if (phases != nullptr) {
+      phases->simulate_s +=
+          std::chrono::duration<double>(Clock::now() - t1).count();
+    }
+    return state_.stats;
+  }
+
+  /// Advance one cycle (or jump a provably idle span when the observer
+  /// allows it).
+  void step() {
+    if constexpr (kSkipIdle) skip_idle_cycles(trace_);
+    phase_cycle_begin();
+    phase_commit();
+    phase_complete();
+    phase_select();
+    phase_dispatch();
+    phase_fetch();
+    phase_cycle_end();
+  }
+
+  // ----- pipeline phases, sequenced by step() in reverse pipeline order ---
+
+  void phase_cycle_begin() {
+    if constexpr (Obs::enabled) obs_.on_cycle_begin(state_.cycle);
+  }
+  void phase_commit() { commit_.commit(); }
+  void phase_complete() { commit_.complete(); }
+
+  /// Wakeup/select: visit only the (cluster, queue) pairs whose
+  /// ready-summary bit is set, in ascending cluster order — the order of
+  /// the former dense loop, which is load-bearing because clusters contend
+  /// for shared cache ports in issue order. Queues with empty ready lists
+  /// contributed nothing to the dense walk, so the masked walk is
+  /// bit-identical while skipping the dead calls.
+  void phase_select() {
+    std::uint32_t rs = state_.ready_summary;
+    while (rs != 0) {
+      const auto c = static_cast<std::uint32_t>(std::countr_zero(rs)) / 3u;
+      const std::uint32_t bits = (rs >> (c * 3)) & 7u;
+      backends_[c].issue_some((bits & 1u) != 0, (bits & 2u) != 0);
+      if ((bits & 4u) != 0) copies_.issue(c);
+      rs &= ~(7u << (c * 3));
+    }
+  }
+
+  void phase_dispatch() { steer_.dispatch(*policy_, *this); }
+  void phase_fetch() { frontend_.fetch(trace_, state_.cycle, obs_); }
+
+  void phase_cycle_end() {
+    // Occupancy bookkeeping for balance and copy-network diagnostics now
+    // lives in StatsObserver::on_cycle_end (same point of the cycle, same
+    // counters — bit-identical to the previously inlined loop).
+    if constexpr (Obs::enabled) obs_.on_cycle_end(state_);
+    ++state_.cycle;
+    VCSTEER_CHECK_MSG(state_.cycle < kCycleLimit, "simulator wedged");
+  }
 
   /// Fast-forward over provably idle cycles. A cycle can be jumped only
   /// when every stage would be a no-op beyond bumping one stall counter:
@@ -397,7 +343,7 @@ class ClusteredCoreT : public steer::SteerView {
   SteerStage<Obs> steer_;
   std::vector<ClusterBackend<Obs>> backends_;
 
-  // Armed by begin_run for the stepwise API; cleared by finish_run.
+  // Armed for the duration of one run().
   std::span<const workload::TraceEntry> trace_{};
   steer::SteeringPolicy* policy_ = nullptr;
 };

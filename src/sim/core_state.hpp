@@ -32,7 +32,6 @@
 #include "common/config.hpp"
 #include "isa/uop.hpp"
 #include "program/program.hpp"
-#include "sim/kernels.hpp"
 #include "sim/stats.hpp"
 #include "sim/value_table.hpp"
 
@@ -83,10 +82,8 @@ struct CopyEntry {
 ///
 /// A pool can be bound to one bit of a shared ready-summary word
 /// (CoreState::ready_summary): the bit mirrors "ready list nonempty", so
-/// the select phase and the idle-cycle probes test a single register-wide
-/// mask — and the transposed lane block (sim/lane_block.hpp) tests eight
-/// lanes' masks with one SIMD compare — instead of walking every queue's
-/// head pointer.
+/// the select phase and the idle-cycle probe test a single register-wide
+/// mask instead of walking every queue's head pointer.
 template <typename Entry>
 class SlotPool {
  public:
@@ -104,9 +101,11 @@ class SlotPool {
 
   void reset() {
     // Refill the free list with size-1 .. 0 (alloc pops from the back, so
-    // the lowest slot is handed out first) through the dispatched kernel.
+    // the lowest slot is handed out first).
     free_.resize(slots_.size());
-    kern::ops().iota_rev_u32(free_.data(), free_.size());
+    for (std::size_t i = 0; i < free_.size(); ++i) {
+      free_[i] = static_cast<std::uint32_t>(free_.size() - 1 - i);
+    }
     head_ = tail_ = kNilIdx;
     if (summary_ != nullptr) *summary_ &= ~summary_bit_;
   }
@@ -238,24 +237,6 @@ class CompletionWheel {
   bool maybe_due(std::uint64_t now) const {
     if (!far_.empty() && (now & (kBuckets / 2 - 1)) == 0) return true;
     return ring_pending_ != 0 && min_due_ <= now;
-  }
-
-  /// Earliest cycle a pending event could be due, for the transposed lane
-  /// block's lane-major next-due plane. Aligned with maybe_due() by
-  /// construction — hint <= now exactly when maybe_due(now) — so a lane
-  /// whose gathered hint lies in the future provably skips its completion
-  /// phase. Ring events bound by min_due_; far-overflow events by their
-  /// next migration cycle (which is `now` itself on a migration boundary).
-  std::uint64_t next_due_hint(std::uint64_t now) const {
-    std::uint64_t due =
-        ring_pending_ != 0 ? min_due_ : kNone;
-    if (!far_.empty()) {
-      const std::uint64_t boundary = (now & (kBuckets / 2 - 1)) == 0
-                                         ? now
-                                         : (now | (kBuckets / 2 - 1)) + 1;
-      if (boundary < due) due = boundary;
-    }
-    return due;
   }
 
   /// The FIFO of events due exactly at `now`. Also migrates far-overflow
@@ -391,10 +372,8 @@ struct CoreState {
 
   /// Ready-list summary: bit (cluster * 3 + kind) is set while that queue's
   /// ready list is nonempty (kind 0 = INT, 1 = FP, 2 = copy; maintained by
-  /// the bound SlotPools). The select phase iterates only set clusters, the
-  /// idle-cycle probe tests the whole machine with one compare, and the
-  /// transposed lane block (sim/lane_block.hpp) gathers eight lanes' words
-  /// into a lane-major plane for one width-8 eligibility test.
+  /// the bound SlotPools). The select phase iterates only set clusters and
+  /// the idle-cycle probe tests the whole machine with one compare.
   std::uint32_t ready_summary = 0;
   static std::uint32_t ready_bit(std::uint32_t cluster, std::uint32_t kind) {
     return cluster * 3 + kind;
@@ -424,7 +403,7 @@ struct CoreState {
   /// `renamed_regs`.
   std::array<int, isa::kNumFlatRegs> stale_home{};
   std::vector<std::uint16_t> renamed_regs;
-  /// Armed by begin_run when the active policy reads the stale view.
+  /// Armed by run() when the active policy reads the stale view.
   bool track_stale_view = false;
 
   CompletionWheel completions;
@@ -511,13 +490,12 @@ inline void CoreState::publish(Tag tag, std::uint8_t cluster,
 inline void CoreState::refresh_stale_view() {
   if (renamed_regs.empty()) return;  // stall cycles leave no rename deltas
   // A renamed register always maps to a live value (the new tag cannot be
-  // freed before its own overwriter commits), so the gather kernel never
-  // chases kNoTag. Duplicate registers in the delta list are idempotent:
-  // rename[] is already final for the cycle, so every store writes the
-  // same home.
-  kern::ops().stale_apply(renamed_regs.data(), renamed_regs.size(),
-                          rename.data(), values.home_data(),
-                          stale_home.data());
+  // freed before its own overwriter commits), so the lookup never chases
+  // kNoTag. Duplicate registers in the delta list are idempotent: rename[]
+  // is already final for the cycle, so every store writes the same home.
+  for (const std::uint16_t r : renamed_regs) {
+    stale_home[r] = values.home(rename[r]);
+  }
   renamed_regs.clear();
 }
 

@@ -9,16 +9,11 @@
 // field lives in its own densely-packed array indexed by tag: one byte per
 // value for home/avail_mask/copy_mask/fp, one u32 for the waiter-chain head,
 // and a [tag][cluster] u64 plane for avail cycles. The hot probes touch only
-// the byte planes, the stale-view refresh becomes a gather over `home_`
-// that the SIMD kernels (sim/kernels.hpp) vectorise, and alloc clears 8
-// bytes instead of 80: the avail_cycle row is deliberately left dirty, since
-// every read of avail_cycle(t, c) is guarded by the avail_mask bit for c,
-// which alloc clears and only mark_avail sets — after writing the cycle.
-//
-// In a batched run (sim/sim_batch.hpp) each lane owns one ValueTable, so
-// the batch's value state is SoA arrays indexed [lane][tag] with no
-// cross-lane sharing — lane results are bit-identical to singleton runs by
-// construction.
+// the byte planes, the stale-view refresh becomes a gather over `home_`,
+// and alloc clears 8 bytes instead of 80: the avail_cycle row is
+// deliberately left dirty, since every read of avail_cycle(t, c) is guarded
+// by the avail_mask bit for c, which alloc clears and only mark_avail sets —
+// after writing the cycle.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +35,6 @@ inline std::uint8_t cluster_bit(std::uint32_t cluster) {
 
 class ValueTable {
  public:
-  /// Slack bytes kept past the last live tag in the home plane: the AVX2
-  /// stale-view kernel gathers the 32-bit word at home_data()+tag.
-  static constexpr std::uint32_t kHomePad = 4;
-
   /// Back to empty, keeping every plane's storage (arena reuse).
   void reset() {
     count_ = 0;
@@ -105,14 +96,10 @@ class ValueTable {
     avail_mask_[tag] |= cluster_bit(cluster);
   }
 
-  /// The home plane, for the stale-view gather kernel. Has kHomePad bytes
-  /// of allocated slack past the last live tag.
-  const std::uint8_t* home_data() const { return home_.data(); }
-
  private:
   void grow() {
     cap_ = cap_ == 0 ? 256 : cap_ * 2;
-    home_.resize(cap_ + kHomePad);
+    home_.resize(cap_);
     avail_mask_.resize(cap_);
     copy_mask_.resize(cap_);
     fp_.resize(cap_);

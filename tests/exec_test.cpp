@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -20,7 +19,6 @@
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
 #include "scratch_dir.hpp"
-#include "sim/sim_batch.hpp"
 #include "steer/mod_policy.hpp"
 #include "workload/profiles.hpp"
 
@@ -684,78 +682,6 @@ TEST(Sweep, PartialCacheSimulatesOnlyMissing) {
   EXPECT_EQ(mixed.simulated, grid.profiles.size());
 }
 
-// -------------------------------------------------- batch-lane resolution ---
-
-/// RAII VCSTEER_BATCH override (restores the previous value on scope exit).
-class BatchEnv {
- public:
-  explicit BatchEnv(const char* value) {
-    const char* old = std::getenv("VCSTEER_BATCH");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv("VCSTEER_BATCH", value, 1);
-    } else {
-      ::unsetenv("VCSTEER_BATCH");
-    }
-  }
-  ~BatchEnv() {
-    if (had_) {
-      ::setenv("VCSTEER_BATCH", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("VCSTEER_BATCH");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(ResolveBatchLanes, ExplicitRequestWinsOverEnv) {
-  BatchEnv env("2");
-  EXPECT_EQ(resolve_batch_lanes(3), 3u);
-  // Explicit requests above the lane maximum clamp.
-  EXPECT_EQ(resolve_batch_lanes(1000),
-            static_cast<std::uint32_t>(sim::kMaxBatchLanes));
-}
-
-TEST(ResolveBatchLanes, EnvOffAndNumericAndUnset) {
-  {
-    BatchEnv env(nullptr);
-    EXPECT_EQ(resolve_batch_lanes(0),
-              static_cast<std::uint32_t>(sim::kMaxBatchLanes));
-  }
-  {
-    BatchEnv env("off");
-    EXPECT_EQ(resolve_batch_lanes(0), 1u);
-  }
-  {
-    BatchEnv env("4");
-    EXPECT_EQ(resolve_batch_lanes(0), 4u);
-  }
-  {
-    BatchEnv env("9999");  // over-max clamps, no warning needed
-    EXPECT_EQ(resolve_batch_lanes(0),
-              static_cast<std::uint32_t>(sim::kMaxBatchLanes));
-  }
-}
-
-// Regression: garbage in VCSTEER_BATCH used to half-parse via a lenient
-// strtol ("4x" -> 4, "nonsense" -> silently 1) with no diagnostic at all.
-// It must fall back to 1 lane AND say so on stderr.
-TEST(ResolveBatchLanes, GarbageWarnsLoudlyAndRunsUnbatched) {
-  const char* garbage[] = {"4x", "nonsense", "", "-2", "0"};
-  for (const char* value : garbage) {
-    BatchEnv env(value);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(resolve_batch_lanes(0), 1u) << "VCSTEER_BATCH=" << value;
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("VCSTEER_BATCH"), std::string::npos)
-        << "no warning for VCSTEER_BATCH=" << value;
-  }
-}
-
 // ------------------------------------------------------ queue / pull mode ---
 
 /// In-process JobQueue: a fixed list of job indices handed out in order.
@@ -890,9 +816,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.simulated = 0;
   s.cache_hits = 25;
   s.uops = 1500000;
-  s.lane_groups = 3;
-  s.batched_points = 12;
-  s.kernel = "scalar";
   s.schemes["MOD3"] = {750000, 0.25};
   s.schemes["VC-STEER"] = {750000, 0.5};
   s.launch_workers = 2;
@@ -917,8 +840,7 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":0,"
                       "\"cache_hits\":25,\"skipped\":0,"
-                      "\"corrupt_recovered\":0,\"uops\":1500000,"
-                      "\"lane_groups\":3,\"batched_points\":12}"),
+                      "\"corrupt_recovered\":0,\"uops\":1500000}"),
             std::string::npos);
   // Per-scheme attribution: each label carries its own uop count and
   // simulate span so perf tooling stops dividing by one shared wall clock.
@@ -927,7 +849,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
             std::string::npos);
   EXPECT_NE(json.find("\"VC-STEER\":{\"uops\":750000,\"simulate_s\":0.5}"),
             std::string::npos);
-  EXPECT_NE(json.find("\"kernel\":\"scalar\""), std::string::npos);
   EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"max_retries\":2,"
                       "\"ok\":true,\"failed_shards\":0"),
             std::string::npos);

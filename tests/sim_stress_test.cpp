@@ -2,22 +2,19 @@
 // shapes (1-entry queues, width 1, the kMaxClusters ceiling) that force the
 // slot pools to wrap through their free lists every few cycles and push
 // every waiter-list edge path (copy wakeups, dual-source waits, copy-queue
-// back-pressure), plus bit-identity of the reusable SimContext arena: runs
-// served by one reused context must match fresh-context runs exactly.
+// back-pressure), plus bit-identity of the reusable SimContext arena and of
+// the shared warm-state snapshot: runs served by one reused context must
+// match fresh-context runs, and runs that adopt a simulation point's warmed
+// cache hierarchy must match fresh cores that replay the warm addresses.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "program/program.hpp"
 #include "sim/core.hpp"
-#include "sim/kernels.hpp"
-#include "sim/lane_block.hpp"
-#include "sim/sim_batch.hpp"
 #include "sim/sim_context.hpp"
 #include "steer/simple_policies.hpp"
 #include "workload/profiles.hpp"
@@ -172,7 +169,7 @@ void expect_results_equal(const harness::RunResult& a,
 
 harness::SimBudget tiny_budget() { return {60'000, 15'000, 2}; }
 
-// One scheme through the evaluation entry point, singleton (batch_lanes 1).
+// One scheme through the evaluation entry point.
 harness::RunResult run_one(harness::TraceExperiment& experiment,
                            const harness::SchemeSpec& spec) {
   const std::vector<harness::SchemeRequest> requests = {spec};
@@ -220,7 +217,7 @@ TEST(SimContextReuse, SchemeInterleavingLeaksNoState) {
   expect_results_equal(vc_between, run_one(fresh, vc));
 }
 
-// ----- batched lane-parallel bit-identity ----------------------------------
+// ----- warm-state snapshot vs cold replay ----------------------------------
 
 void expect_stats_equal(const sim::SimStats& a, const sim::SimStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);
@@ -237,416 +234,86 @@ void expect_stats_equal(const sim::SimStats& a, const sim::SimStats& b) {
   }
 }
 
-/// A deliberately degenerate lane config: width-1 pipes and 1-entry queues
-/// force the slot pools through their free lists every few cycles.
-MachineConfig degenerate_config() {
-  MachineConfig cfg = MachineConfig::two_cluster();
-  cfg.iq_int_entries = 1;
-  cfg.iq_fp_entries = 1;
-  cfg.iq_copy_entries = 1;
-  cfg.issue_width_int = 1;
-  cfg.issue_width_fp = 1;
-  cfg.issue_width_copy = 1;
-  cfg.decode_width_int = 2;
-  cfg.decode_width_fp = 1;
-  cfg.fetch_width = 1;
-  return cfg;
-}
-
-// Lanes with heterogeneous machine configs — one healthy, one degenerate
-// width-1/1-entry-queue — advanced through one interleaved SimBatch loop
-// must each reproduce their singleton run's bits exactly. Lanes share no
-// state, so the interleave (whatever the block size) cannot change results.
-TEST(SimBatch, HeterogeneousLanesMatchSingletonRuns) {
-  const MachineConfig healthy = MachineConfig::two_cluster();
-  const MachineConfig tiny = degenerate_config();
-  Bench bench({op_on(OpClass::kIntAlu, r(1), {r(0)}, 0),
-               op_on(OpClass::kIntAlu, r(2), {r(1)}, 1),
-               op_on(OpClass::kFpAdd, f(1), {f(1)}, 0),
-               op_on(OpClass::kLoad, r(4), {r(1)}, 0),
-               op_on(OpClass::kIntAlu, r(5), {r(4), r(2)}, 1)},
-              80);
-
-  const sim::SimStats healthy_alone = run_static(bench, healthy);
-  const sim::SimStats tiny_alone = run_static(bench, tiny);
-
-  sim::ClusteredCore healthy_core(healthy, *bench.program);
-  sim::ClusteredCore tiny_core(tiny, *bench.program);
-  steer::StaticFollowerPolicy healthy_policy("stress");
-  steer::StaticFollowerPolicy tiny_policy("stress");
-  sim::SimBatch batch;
-  batch.add_lane(healthy_core, healthy_policy, bench.trace);
-  batch.add_lane(tiny_core, tiny_policy, bench.trace);
-  batch.run();
-
-  expect_stats_equal(batch.lane(0).stats, healthy_alone);
-  expect_stats_equal(batch.lane(1).stats, tiny_alone);
-}
-
-// The scalar and AVX2 kernels must drive the batch to identical bits
-// (kernels are pure data-parallel helpers; selection is a startup-time
-// dispatch). Skips the AVX2 leg where the CPU lacks it.
-TEST(SimBatch, ScalarAndAvx2KernelsBitIdentical) {
-  Bench bench({op_on(OpClass::kIntAlu, r(1), {r(1)}, 0),
-               op_on(OpClass::kIntAlu, r(2), {r(1)}, 1),
-               op_on(OpClass::kLoad, r(3), {r(2)}, 0)},
-              60);
-  const MachineConfig cfg = MachineConfig::two_cluster();
-  const std::string previous = sim::kern::selected_name();
-
-  ASSERT_TRUE(sim::kern::select_for_testing("scalar"));
-  sim::ClusteredCore scalar_core(cfg, *bench.program);
-  steer::StaticFollowerPolicy scalar_policy("stress");
-  sim::SimBatch scalar_batch;
-  scalar_batch.add_lane(scalar_core, scalar_policy, bench.trace);
-  scalar_batch.run();
-
-  if (!sim::kern::avx2_supported()) {
-    ASSERT_TRUE(sim::kern::select_for_testing(previous.c_str()));
-    GTEST_SKIP() << "host CPU lacks AVX2";
+/// The cold-replay reference for one scheme: every simulation point on a
+/// freshly built core that replays the point's warm addresses itself.
+/// Returns the per-point stats, in point order.
+std::vector<sim::SimStats> cold_replay(
+    const harness::TraceExperiment& experiment,
+    const harness::SchemeSpec& spec) {
+  prog::Program program = experiment.workload().program;
+  harness::annotate_for_scheme(program, spec, experiment.machine());
+  const auto policy = harness::policy_for_scheme(spec, experiment.machine());
+  std::vector<sim::SimStats> stats;
+  for (std::size_t i = 0; i < experiment.intervals().size(); ++i) {
+    sim::ClusteredCore core(experiment.machine(), program);
+    stats.push_back(core.run(experiment.intervals()[i], *policy,
+                             experiment.warm_addrs()[i]));
   }
-  ASSERT_TRUE(sim::kern::select_for_testing("avx2"));
-  sim::ClusteredCore avx2_core(cfg, *bench.program);
-  steer::StaticFollowerPolicy avx2_policy("stress");
-  sim::SimBatch avx2_batch;
-  avx2_batch.add_lane(avx2_core, avx2_policy, bench.trace);
-  avx2_batch.run();
-  ASSERT_TRUE(sim::kern::select_for_testing(previous.c_str()));
-
-  expect_stats_equal(scalar_batch.lane(0).stats, avx2_batch.lane(0).stats);
+  return stats;
 }
 
-// run_batch over heterogeneous schemes must fan out results bit-identical
-// to singleton run() calls, regardless of the order schemes appear in the
-// batch, and a reused experiment's second batch must match its first
-// (the lane arenas reset in place, like the singleton SimContext arena).
-TEST(SimBatch, RunBatchMatchesSingletonAnyOrder) {
+/// `result` must carry exactly the reference's bits: the summed cycles and
+/// committed uops over every point, and the final point's full stats.
+void expect_matches_replay(const harness::RunResult& result,
+                           const std::vector<sim::SimStats>& reference) {
+  std::uint64_t cycles = 0;
+  std::uint64_t uops = 0;
+  for (const sim::SimStats& s : reference) {
+    cycles += s.cycles;
+    uops += s.committed_uops;
+  }
+  EXPECT_EQ(result.cycles, cycles);
+  EXPECT_EQ(result.committed_uops, uops);
+  expect_stats_equal(result.last_interval, reference.back());
+}
+
+// Every run adopts its simulation point's shared warm-state snapshot, so
+// results must not depend on which scheme warmed it or in what order the
+// schemes ran: OP/OB/RHOP/VC(2)/OP-parallel through evaluate() in order,
+// rotated, and one scheme per call must each reproduce a fresh core that
+// replays the warm addresses itself — on the ideal 2-cluster fabric and on
+// a 4-cluster ring with one copy per link-cycle.
+TEST(WarmSnapshot, EvaluateMatchesColdReplayAnyOrder) {
   const workload::WorkloadProfile& profile =
       *workload::find_profile("186.crafty");
-  const MachineConfig machine = MachineConfig::two_cluster();
-  const harness::SchemeSpec op{steer::Scheme::kOp, 0};
-  const harness::SchemeSpec vc{steer::Scheme::kVc, 2};
-  const harness::SchemeSpec ob{steer::Scheme::kOb, 0};
-
-  harness::TraceExperiment singleton(profile, machine, tiny_budget());
-  const harness::RunResult op_alone = run_one(singleton, op);
-  const harness::RunResult vc_alone = run_one(singleton, vc);
-  const harness::RunResult ob_alone = run_one(singleton, ob);
-
-  harness::TraceExperiment batched(profile, machine, tiny_budget());
-  const std::vector<harness::SchemeRequest> specs{op, vc, ob};
-  const std::vector<harness::RunResult> results =
-      batched.evaluate(specs, /*batch_lanes=*/3);
-  ASSERT_EQ(results.size(), 3u);
-  expect_results_equal(results[0], op_alone);
-  expect_results_equal(results[1], vc_alone);
-  expect_results_equal(results[2], ob_alone);
-
-  // Interleaved (rotated) scheme order: same per-scheme bits.
-  harness::TraceExperiment rotated(profile, machine, tiny_budget());
-  const std::vector<harness::SchemeRequest> rotated_specs{vc, ob, op};
-  const std::vector<harness::RunResult> rotated_results =
-      rotated.evaluate(rotated_specs, /*batch_lanes=*/3);
-  ASSERT_EQ(rotated_results.size(), 3u);
-  expect_results_equal(rotated_results[0], vc_alone);
-  expect_results_equal(rotated_results[1], ob_alone);
-  expect_results_equal(rotated_results[2], op_alone);
-
-  // Arena reuse across batches: the second pass starts from resets, not
-  // reconstructions, and must reproduce the first bit-for-bit.
-  const std::vector<harness::RunResult> again =
-      batched.evaluate(specs, /*batch_lanes=*/3);
-  ASSERT_EQ(again.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    expect_results_equal(again[i], results[i]);
-  }
-}
-
-// ----- transposed lane-block bit-identity ----------------------------------
-//
-// The stepping engine (blocked transposed, stride-1 lockstep, legacy
-// per-lane loop) is a pure scheduling choice: lanes share no architectural
-// state, so every engine must produce identical bits for every lane. These
-// tests sweep engines via VCSTEER_TRANSPOSE (parsed per batch run).
-
-/// Scoped VCSTEER_TRANSPOSE override, restoring the previous value.
-class ScopedTranspose {
- public:
-  explicit ScopedTranspose(const char* mode) {
-    const char* prev = std::getenv("VCSTEER_TRANSPOSE");
-    if (prev != nullptr) prev_ = prev;
-    had_prev_ = prev != nullptr;
-    ::setenv("VCSTEER_TRANSPOSE", mode, 1);
-  }
-  ~ScopedTranspose() {
-    if (had_prev_) {
-      ::setenv("VCSTEER_TRANSPOSE", prev_.c_str(), 1);
-    } else {
-      ::unsetenv("VCSTEER_TRANSPOSE");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-inline constexpr const char* kEngines[] = {"on", "lockstep", "off"};
-
-struct LaneSpec {
-  const MachineConfig* cfg;
-  std::span<const TraceEntry> trace;
-};
-
-/// Runs one SimBatch over `lanes` under the given engine and returns the
-/// per-lane stats (plus step counts through `steps` when non-null).
-std::vector<sim::SimStats> run_lanes(const char* engine,
-                                     const prog::Program& program,
-                                     const std::vector<LaneSpec>& lanes,
-                                     std::vector<std::uint64_t>* steps =
-                                         nullptr) {
-  ScopedTranspose scoped(engine);
-  std::vector<std::unique_ptr<sim::ClusteredCore>> cores;
-  std::vector<std::unique_ptr<steer::StaticFollowerPolicy>> policies;
-  sim::SimBatch batch;
-  for (const LaneSpec& ln : lanes) {
-    cores.push_back(std::make_unique<sim::ClusteredCore>(*ln.cfg, program));
-    policies.push_back(
-        std::make_unique<steer::StaticFollowerPolicy>("stress"));
-    batch.add_lane(*cores.back(), *policies.back(), ln.trace);
-  }
-  batch.run();
-  std::vector<sim::SimStats> out;
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    out.push_back(batch.lane(i).stats);
-    if (steps != nullptr) steps->push_back(batch.lane(i).steps);
-  }
-  return out;
-}
-
-// Every lane count 1..kMaxBatchLanes through all three engines: per-lane
-// bits must agree, and every lane must match its singleton run. Lanes get
-// staggered trace lengths so same-config lanes still hold distinct state.
-TEST(TransposedBlock, LaneCountSweepEnginesBitIdentical) {
-  const MachineConfig cfg = MachineConfig::two_cluster();
-  Bench bench({op_on(OpClass::kIntAlu, r(1), {r(1)}, 0),
-               op_on(OpClass::kIntAlu, r(2), {r(1)}, 1),
-               op_on(OpClass::kLoad, r(3), {r(2)}, 0)},
-              64);
-  const std::size_t block = bench.trace.size() / 8;
-
-  for (std::size_t n = 1; n <= sim::kMaxBatchLanes; ++n) {
-    std::vector<LaneSpec> lanes;
-    for (std::size_t i = 0; i < n; ++i) {
-      lanes.push_back({&cfg, std::span<const TraceEntry>(bench.trace)
-                                 .first((8 - i) * block)});
-    }
-    const std::vector<sim::SimStats> blocked =
-        run_lanes("on", *bench.program, lanes);
-    const std::vector<sim::SimStats> lockstep =
-        run_lanes("lockstep", *bench.program, lanes);
-    const std::vector<sim::SimStats> legacy =
-        run_lanes("off", *bench.program, lanes);
-    for (std::size_t i = 0; i < n; ++i) {
-      SCOPED_TRACE("n=" + std::to_string(n) + " lane=" + std::to_string(i));
-      expect_stats_equal(blocked[i], lockstep[i]);
-      expect_stats_equal(blocked[i], legacy[i]);
-      EXPECT_EQ(blocked[i].committed_uops, lanes[i].trace.size());
-
-      sim::ClusteredCore alone(cfg, *bench.program);
-      steer::StaticFollowerPolicy policy("stress");
-      expect_stats_equal(blocked[i], alone.run(lanes[i].trace, policy));
-    }
-  }
-}
-
-// A width-1/1-entry-queue degenerate lane interleaved with wide lanes: the
-// transposed engines must reproduce each lane's singleton bits even when
-// the lanes' cycle counts diverge wildly (the degenerate lane runs long
-// after the wide lanes retire).
-TEST(TransposedBlock, HeterogeneousDegenerateLaneBitIdentical) {
-  const MachineConfig healthy = MachineConfig::two_cluster();
-  const MachineConfig four = MachineConfig::four_cluster();
-  const MachineConfig tiny = degenerate_config();
-  Bench bench({op_on(OpClass::kIntAlu, r(1), {r(0)}, 0),
-               op_on(OpClass::kIntAlu, r(2), {r(1)}, 1),
-               op_on(OpClass::kFpAdd, f(1), {f(1)}, 0),
-               op_on(OpClass::kLoad, r(4), {r(1)}, 0),
-               op_on(OpClass::kIntAlu, r(5), {r(4), r(2)}, 1)},
-              60);
-  const std::vector<LaneSpec> lanes = {{&healthy, bench.trace},
-                                       {&tiny, bench.trace},
-                                       {&four, bench.trace}};
-
-  const std::vector<sim::SimStats> blocked =
-      run_lanes("on", *bench.program, lanes);
-  const std::vector<sim::SimStats> lockstep =
-      run_lanes("lockstep", *bench.program, lanes);
-  const std::vector<sim::SimStats> legacy =
-      run_lanes("off", *bench.program, lanes);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    SCOPED_TRACE("lane=" + std::to_string(i));
-    expect_stats_equal(blocked[i], lockstep[i]);
-    expect_stats_equal(blocked[i], legacy[i]);
-  }
-  expect_stats_equal(blocked[0], run_static(bench, healthy));
-  expect_stats_equal(blocked[1], run_static(bench, tiny));
-  EXPECT_GT(blocked[1].cycles, blocked[0].cycles);  // actually degenerate
-}
-
-// Mid-batch retirement: trace lengths chosen so lanes retire one after
-// another while others keep stepping. The done plane must freeze retired
-// lanes (their stats stay final) without perturbing survivors, under both
-// transposed engines.
-TEST(TransposedBlock, MidBatchRetirementBitIdentical) {
-  const MachineConfig cfg = MachineConfig::two_cluster();
-  Bench bench({op_on(OpClass::kIntAlu, r(1), {r(1)}, 0),
-               op_on(OpClass::kIntAlu, r(2), {r(1)}, 1)},
-              120);
-  const std::size_t uops = 2;
-  const std::vector<LaneSpec> lanes = {
-      {&cfg, std::span<const TraceEntry>(bench.trace).first(uops)},
-      {&cfg, std::span<const TraceEntry>(bench.trace).first(20 * uops)},
-      {&cfg, std::span<const TraceEntry>(bench.trace)},
-  };
-
-  std::vector<std::uint64_t> blocked_steps;
-  std::vector<std::uint64_t> lockstep_steps;
-  const std::vector<sim::SimStats> blocked =
-      run_lanes("on", *bench.program, lanes, &blocked_steps);
-  const std::vector<sim::SimStats> lockstep =
-      run_lanes("lockstep", *bench.program, lanes, &lockstep_steps);
-  const std::vector<sim::SimStats> legacy =
-      run_lanes("off", *bench.program, lanes);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    SCOPED_TRACE("lane=" + std::to_string(i));
-    expect_stats_equal(blocked[i], lockstep[i]);
-    expect_stats_equal(blocked[i], legacy[i]);
-    EXPECT_EQ(blocked[i].committed_uops, lanes[i].trace.size());
-    // Step counts are engine-invariant too: a step is a step, whatever
-    // schedule ran it.
-    EXPECT_EQ(blocked_steps[i], lockstep_steps[i]);
-  }
-  EXPECT_LT(blocked_steps[0], blocked_steps[2]);  // lane 0 retired early
-}
-
-// The transposed engines through scalar vs AVX2 kernel tables: the lane
-// kernels only compute masks that gate provable no-op calls, so the bits
-// must match. Runs the lockstep engine (the heaviest lane-kernel consumer)
-// and the blocked engine under both tables.
-TEST(TransposedBlock, ScalarAndAvx2KernelsBitIdentical) {
-  Bench bench({op_on(OpClass::kIntAlu, r(1), {r(1)}, 0),
-               op_on(OpClass::kIntAlu, r(2), {r(1)}, 1),
-               op_on(OpClass::kLoad, r(3), {r(2)}, 0)},
-              60);
-  const MachineConfig cfg = MachineConfig::two_cluster();
-  const MachineConfig tiny = degenerate_config();
-  const std::vector<LaneSpec> lanes = {{&cfg, bench.trace},
-                                       {&tiny, bench.trace}};
-  if (!sim::kern::avx2_supported()) GTEST_SKIP() << "host CPU lacks AVX2";
-  const std::string previous = sim::kern::selected_name();
-
-  for (const char* engine : {"on", "lockstep"}) {
-    SCOPED_TRACE(engine);
-    ASSERT_TRUE(sim::kern::select_for_testing("scalar"));
-    const std::vector<sim::SimStats> scalar =
-        run_lanes(engine, *bench.program, lanes);
-    ASSERT_TRUE(sim::kern::select_for_testing("avx2"));
-    const std::vector<sim::SimStats> avx2 =
-        run_lanes(engine, *bench.program, lanes);
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      SCOPED_TRACE("lane=" + std::to_string(i));
-      expect_stats_equal(scalar[i], avx2[i]);
-    }
-  }
-  ASSERT_TRUE(sim::kern::select_for_testing(previous.c_str()));
-}
-
-// The width-8 lane-plane kernels themselves: scalar and AVX2 tables must
-// agree bit-for-bit on every mask for adversarial plane patterns — zeros,
-// all-ones, single hot elements, and u64 values straddling the sign bit
-// (the AVX2 due compare biases to signed; a bias bug flips exactly these).
-TEST(TransposedBlock, LaneKernelsScalarMatchAvx2) {
-  if (!sim::kern::avx2_supported()) GTEST_SKIP() << "host CPU lacks AVX2";
-  const std::string previous = sim::kern::selected_name();
-
-  constexpr std::uint64_t kSign = 0x8000000000000000ull;
-  constexpr std::uint64_t kMax = ~0ull;
-  sim::LanePlanes planes;
-  const std::uint64_t cycles[] = {0, 1,         kSign - 1, kSign,
-                                  kMax, 12345,  kSign + 7, 2};
-  const std::uint64_t dues[] = {0,     kMax, kSign,     kSign - 1,
-                                kMax,  12346, kSign + 7, kMax};
-  const std::uint32_t readies[] = {0, 1, 0, 0x7fffffffu, 0, 0, 8, 0};
-  const std::uint8_t commits[] = {0, 0, 1, 0, 0xff, 0, 0, 0};
-  const std::uint8_t frontends[] = {1, 0, 0, 0, 0, 0, 0, 1};
-  for (std::size_t i = 0; i < sim::kLaneBlockWidth; ++i) {
-    planes.cycle[i] = cycles[i];
-    planes.next_due[i] = dues[i];
-    planes.ready[i] = readies[i];
-    planes.commit[i] = commits[i];
-    planes.frontend[i] = frontends[i];
-    planes.done[i] = static_cast<std::uint8_t>(i % 3 == 0);
-  }
-
-  for (std::size_t n = 1; n <= sim::kLaneBlockWidth; ++n) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    ASSERT_TRUE(sim::kern::select_for_testing("scalar"));
-    const sim::kern::Ops& s = sim::kern::ops();
-    const std::uint32_t s_u8 = s.nonzero_mask_u8(planes.commit, n);
-    const std::uint32_t s_u32 = s.nonzero_mask_u32(planes.ready, n);
-    const std::uint32_t s_due = s.due_mask_u64(planes.cycle, planes.next_due, n);
-    const std::uint32_t s_work =
-        s.lane_work_mask(planes.cycle, planes.next_due, planes.ready,
-                         planes.commit, planes.frontend, n);
-    const std::uint32_t s_active = s.active_mask(planes.done, n);
-
-    ASSERT_TRUE(sim::kern::select_for_testing("avx2"));
-    const sim::kern::Ops& v = sim::kern::ops();
-    EXPECT_EQ(s_u8, v.nonzero_mask_u8(planes.commit, n));
-    EXPECT_EQ(s_u32, v.nonzero_mask_u32(planes.ready, n));
-    EXPECT_EQ(s_due, v.due_mask_u64(planes.cycle, planes.next_due, n));
-    EXPECT_EQ(s_work,
-              v.lane_work_mask(planes.cycle, planes.next_due, planes.ready,
-                               planes.commit, planes.frontend, n));
-    EXPECT_EQ(s_active, v.active_mask(planes.done, n));
-    // Results must fit the lane count: no bit above n - 1.
-    EXPECT_EQ(s_work & ~((1u << n) - 1), 0u);
-  }
-  ASSERT_TRUE(sim::kern::select_for_testing(previous.c_str()));
-}
-
-// Arena reuse under every engine: back-to-back evaluate() batches on one
-// experiment (lane arenas reset in place) must reproduce each other and
-// the other engines' bits exactly.
-TEST(TransposedBlock, EvaluateArenaReuseAcrossEngines) {
-  const workload::WorkloadProfile& profile =
-      *workload::find_profile("186.crafty");
-  const MachineConfig machine = MachineConfig::two_cluster();
+  MachineConfig ring = MachineConfig::four_cluster();
+  ring.interconnect.kind = Topology::kRing;
+  ring.interconnect.copies_per_link_cycle = 1;
   const std::vector<harness::SchemeRequest> specs{
       harness::SchemeSpec{steer::Scheme::kOp, 0},
+      harness::SchemeSpec{steer::Scheme::kOb, 0},
+      harness::SchemeSpec{steer::Scheme::kRhop, 0},
       harness::SchemeSpec{steer::Scheme::kVc, 2},
-      harness::SchemeSpec{steer::Scheme::kOb, 0}};
+      harness::SchemeSpec{steer::Scheme::kParallelOp, 0}};
+  const std::size_t n = specs.size();
 
-  std::vector<std::vector<harness::RunResult>> per_engine;
-  for (const char* engine : kEngines) {
-    ScopedTranspose scoped(engine);
-    harness::TraceExperiment experiment(profile, machine, tiny_budget());
-    const std::vector<harness::RunResult> first =
-        experiment.evaluate(specs, /*batch_lanes=*/3);
-    const std::vector<harness::RunResult> reused =
-        experiment.evaluate(specs, /*batch_lanes=*/3);
-    ASSERT_EQ(first.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-      SCOPED_TRACE(std::string(engine) + " spec=" + std::to_string(i));
-      expect_results_equal(first[i], reused[i]);
+  for (const MachineConfig& machine : {MachineConfig::two_cluster(), ring}) {
+    SCOPED_TRACE(topology_name(machine.interconnect.kind));
+    harness::TraceExperiment in_order(profile, machine,
+                                      harness::SimBudget::smoke());
+    ASSERT_GT(in_order.simpoints().size(), 1u);
+    const std::vector<harness::RunResult> ordered = in_order.evaluate(specs);
+
+    std::vector<harness::SchemeRequest> rotated_specs;
+    for (std::size_t k = 0; k < n; ++k) {
+      rotated_specs.push_back(specs[(k + 2) % n]);
     }
-    per_engine.push_back(first);
-  }
-  for (std::size_t e = 1; e < per_engine.size(); ++e) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      SCOPED_TRACE(std::string(kEngines[e]) + " spec=" + std::to_string(i));
-      expect_results_equal(per_engine[0][i], per_engine[e][i]);
+    harness::TraceExperiment rotated(profile, machine,
+                                     harness::SimBudget::smoke());
+    const std::vector<harness::RunResult> rotated_results =
+        rotated.evaluate(rotated_specs);
+
+    harness::TraceExperiment per_call(profile, machine,
+                                      harness::SimBudget::smoke());
+    ASSERT_EQ(ordered.size(), n);
+    ASSERT_EQ(rotated_results.size(), n);
+    for (std::size_t k = 0; k < n; ++k) {
+      SCOPED_TRACE(ordered[k].scheme);
+      const std::vector<sim::SimStats> reference =
+          cold_replay(in_order, specs[k].spec);
+      expect_matches_replay(ordered[k], reference);
+      expect_matches_replay(rotated_results[(k + n - 2) % n], reference);
+      expect_matches_replay(run_one(per_call, specs[k].spec), reference);
     }
   }
 }
