@@ -74,6 +74,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -278,7 +280,16 @@ inline const std::vector<OptionSpec>& option_table() {
        }},
       {"--seed", nullptr, "S", "extra salt mixed into every workload seed",
        [](Options& o, const char* v) {
-         o.seed = std::strtoull(v, nullptr, 10);
+         // strtoull alone would read "abc" as 0 and wrap "-1" silently.
+         char* end = nullptr;
+         errno = 0;
+         const unsigned long long seed = std::strtoull(v, &end, 10);
+         if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+             errno == ERANGE) {
+           parse_fail(o, "--seed expects a non-negative integer, got '" +
+                             std::string(v) + "'");
+         }
+         o.seed = seed;
        },
        [](const Options& o) { return std::to_string(o.seed); }},
       {"--shard", nullptr, "I/N",
@@ -772,6 +783,8 @@ class Output {
       model_.enabled = true;
       model_.top_k = sweep.model.top_k;
       model_.estimated += sweep.model.estimated;
+      model_.walked += sweep.model.walked;
+      model_.walks_reused += sweep.model.walks_reused;
       model_.pruned += sweep.model.pruned;
       model_.spearman = sweep.model.spearman;
       model_.top3_overlap = sweep.model.top3_overlap;

@@ -9,7 +9,8 @@
 #   tier1     ctest suite minus the golden label
 #   golden    golden-reference fixtures (fig5/fig7 + ablation smoke)
 #   ablation  topology-aware ablation smoke sweep produces a sane summary
-#   smoke     cold sweep simulates everything; warm re-run is 100% cache hits
+#   smoke     cold sweep simulates everything; warm re-run is 100% cache hits;
+#             --seed abc is a usage error
 #   shard     two --shard processes partition a sweep; the unsharded
 #             assembly run is a pure cache read
 #   launch    --launch 2 owns the shard lifecycle end to end and its
@@ -26,7 +27,8 @@
 #             the plain runs (the model only reorders work), with model
 #             rank agreement Spearman >= 0.9 and top-3 overlap >= 2 on
 #             both grids; autotune_search --smoke must cover a >= 5520
-#             point grid while simulating at most 20% of it
+#             point grid while simulating at most 20% of it and walking
+#             the model for at most a third of it
 #   observe   observer layer: a fig7 smoke sweep's --summary-json carries
 #             per-phase timing spans and event counts, and the
 #             pipeline_viewer's event counts reconcile exactly with the
@@ -143,14 +145,18 @@ gate_model() {
   done
   # The autotune bench is the pruned search at its intended scale: a grid
   # an order of magnitude beyond any figure sweep (>= 5520 points, 10x the
-  # 552-point ablation grid) of which the simulator sees at most 20%.
+  # 552-point ablation grid) of which the simulator sees at most 20%. Every
+  # estimate either walked or reused an identical walk, and machines the
+  # model cannot tell apart collapse: at most a third of the points walk.
   "$BUILD_DIR/autotune_search" --smoke --jobs 2 \
     --summary-json "$GATE_OUT/model_autotune_summary.json"
   assert_summary "$GATE_OUT/model_autotune_summary.json" \
     'ok' 'sweep["points"] >= 5520' \
     'sweep["simulated"] * 5 <= sweep["points"]' \
     'model["estimated"] == sweep["points"]' \
-    'model["pruned"] + sweep["simulated"] == sweep["points"]'
+    'model["pruned"] + sweep["simulated"] == sweep["points"]' \
+    'model["walked"] + model["walks_reused"] == model["estimated"]' \
+    'model["walked"] * 3 <= model["estimated"]'
 }
 
 gate_perf() {
@@ -223,6 +229,11 @@ gate_smoke() {
     'ok' 'sweep["simulated"] == 0' \
     'sweep["cache_hits"] == sweep["points"]' \
     'sweep["corrupt_recovered"] == 0'
+  # A garbage seed must be a usage error, not a silent --seed 0 run.
+  if "$BUILD_DIR/fig5_twocluster" --smoke --seed abc > /dev/null 2>&1; then
+    echo "fig5_twocluster accepted --seed abc" >&2
+    return 1
+  fi
 }
 
 gate_shard() {

@@ -14,7 +14,8 @@
 // requests at once, because both backends amortise per-cell work across
 // schemes: the simulator shares one materialised trace and one warmed
 // cache hierarchy per simulation point, the model shares one materialised
-// trace and one functional memory replay per cache geometry.
+// trace, one functional memory replay per cache geometry, and one walk per
+// distinct model::WalkConfig and annotation.
 // exec::run_sweep's two-stage pruned mode (--prune-model K) estimates every
 // grid point with ModelEvaluator and spends SimEvaluator only on the top-K
 // frontier.
@@ -57,6 +58,10 @@ struct EvalResponse {
   /// Trace experiments constructed serving this call (0 when the backend
   /// reused a memoised trace).
   std::size_t experiments = 0;
+  /// Model backend only: results whose critical-path walk ran in this call,
+  /// and results served from an earlier call's identical walk.
+  std::size_t walked = 0;
+  std::size_t walks_reused = 0;
 };
 
 class Evaluator {

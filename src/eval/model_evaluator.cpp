@@ -1,11 +1,13 @@
 #include "eval/model_evaluator.hpp"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 
 #include "common/check.hpp"
 #include "model/critpath.hpp"
+#include "program/program.hpp"
 
 namespace vcsteer::eval {
 namespace {
@@ -55,6 +57,7 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
   EvalResponse response;
   TraceData& data = trace_data_for(request);
   const MachineConfig& machine = request.machine;
+  const MemoryKey memory = memory_key(machine);
   const LoadExtra* load_extra = nullptr;
   {
     std::lock_guard<std::mutex> lock(data.mutex);
@@ -75,8 +78,7 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
     // by every scheme's walk in every cell with that hierarchy. Like the
     // trace build, its time is billed only to the response that ran it.
     // std::map nodes are stable, so the pointer outlives the lock.
-    const auto [it, inserted] =
-        data.load_extra.try_emplace(memory_key(machine));
+    const auto [it, inserted] = data.load_extra.try_emplace(memory);
     if (inserted) {
       const harness::TraceExperiment& experiment = *data.experiment;
       const Clock::time_point warm_t0 = Clock::now();
@@ -105,9 +107,45 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
     }
     response.phases.annotate_s += seconds_since(annotate_t0);
 
+    // The walk is a function of the replay entry, the walk config and the
+    // hints alone, so a grid point whose key an earlier point already
+    // walked reuses its estimates. Lookup and insert happen under the
+    // trace's lock; the walk runs outside it, once per key (std::map nodes
+    // are stable, so the entry outlives the lock).
+    Hints hints(program.num_uops());
+    for (std::size_t u = 0; u < hints.size(); ++u) {
+      hints[u] = program.uop(static_cast<prog::UopId>(u)).hint;
+    }
+    WalkKey key{memory, 0, model::walk_config(machine, approx)};
+    Walk* walk = nullptr;
+    const model::WalkConfig* config = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(data.mutex);
+      const auto interned =
+          std::find(data.hints.begin(), data.hints.end(), hints);
+      key.hints = static_cast<std::size_t>(interned - data.hints.begin());
+      if (interned == data.hints.end()) data.hints.push_back(std::move(hints));
+      const auto it = data.walks.try_emplace(std::move(key)).first;
+      walk = &it->second;
+      config = &it->first.config;
+    }
+    // Like the trace build and the replay, walk time is billed only to the
+    // response that walked.
+    bool walked = false;
+    double walk_s = 0.0;
+    std::call_once(walk->once, [&] {
+      const Clock::time_point walk_t0 = Clock::now();
+      for (std::size_t p = 0; p < points.size(); ++p) {
+        walk->estimates.push_back(model::estimate_interval(
+            program, intervals[p], (*load_extra)[p], *config));
+      }
+      walk_s = seconds_since(walk_t0);
+      walked = true;
+    });
+    ++(walked ? response.walked : response.walks_reused);
+
     // PinPoints-weighted aggregation, same operations in the same order as
     // the simulator's WeightedAccum for the fields the model predicts.
-    const Clock::time_point walk_t0 = Clock::now();
     double w_cycles = 0, w_uops = 0, w_copies = 0, w_hops = 0;
     harness::RunResult result;
     result.trace = request.profile.name;
@@ -116,8 +154,7 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
     result.num_points = points.size();
     result.num_clusters = machine.num_clusters;
     for (std::size_t p = 0; p < points.size(); ++p) {
-      const model::IntervalEstimate est = model::estimate_interval(
-          program, intervals[p], (*load_extra)[p], machine, approx);
+      const model::IntervalEstimate& est = walk->estimates[p];
       const double w = points[p].weight;
       w_cycles += w * static_cast<double>(est.cycles);
       w_uops += w * static_cast<double>(est.committed_uops);
@@ -130,7 +167,6 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
     result.ipc = w_uops / w_cycles;
     result.copies_per_kuop = 1000.0 * w_copies / w_uops;
     result.copy_hops_per_kuop = 1000.0 * w_hops / w_uops;
-    const double walk_s = seconds_since(walk_t0);
     response.phases.simulate_s += walk_s;
     response.scheme_simulate_s[result.scheme] += walk_s;
     response.results.push_back(std::move(result));

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <array>
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,6 +13,8 @@
 #include <vector>
 
 #include "eval/evaluator.hpp"
+#include "isa/uop.hpp"
+#include "model/critpath.hpp"
 
 namespace vcsteer::eval {
 
@@ -18,11 +22,14 @@ namespace vcsteer::eval {
 /// expensive part the model shares with simulation: workload generation,
 /// PinPoints selection, interval replay) is memoised per (profile, budget)
 /// across calls, so a sweep visiting one trace under hundreds of machines
-/// pays trace construction once. The estimator itself is machine-dependent
-/// and runs per call. The functional memory replay depends only on the
-/// trace and the cache geometry (L1D, L2, memory latency), so it is
+/// pays trace construction once. The functional memory replay depends only
+/// on the trace and the cache geometry (L1D, L2, memory latency), so it is
 /// memoised per (trace, geometry): the machines of a search that share one
-/// hierarchy replay it once.
+/// hierarchy replay it once. The walk itself is memoised per trace on its
+/// complete input: the replay entry, the model::WalkConfig and the
+/// annotated steering hints. Machines the walk cannot tell apart (see
+/// model::WalkConfig) are walked once and every later grid point reuses
+/// the estimates.
 class ModelEvaluator final : public Evaluator {
  public:
   Source source() const override { return Source::kModel; }
@@ -33,12 +40,34 @@ class ModelEvaluator final : public Evaluator {
   using MemoryKey = std::array<std::uint32_t, 9>;
   /// model::memory_latencies of each simulation point.
   using LoadExtra = std::vector<std::vector<std::uint32_t>>;
+  /// The steering hint of every static micro-op after one annotation.
+  using Hints = std::vector<isa::SteerHint>;
+
+  /// Everything a walk reads besides the trace: the replay entry, the
+  /// index of the interned hints, and the walk config.
+  struct WalkKey {
+    MemoryKey memory;
+    std::size_t hints;
+    model::WalkConfig config;
+
+    auto operator<=>(const WalkKey&) const = default;
+  };
+
+  /// The memoised estimate of every simulation point. The first caller
+  /// walks inside `once`; concurrent callers of the same key wait for it.
+  struct Walk {
+    std::once_flag once;
+    std::vector<model::IntervalEstimate> estimates;
+  };
 
   struct TraceData {
     std::mutex mutex;  ///< guards every member below.
     std::unique_ptr<harness::TraceExperiment> experiment;
     bool billed = false;  ///< trace_build_s already reported to a response.
     std::map<MemoryKey, LoadExtra> load_extra;
+    /// Distinct annotations seen on this trace; WalkKey::hints indexes it.
+    std::vector<Hints> hints;
+    std::map<WalkKey, Walk> walks;
   };
 
   TraceData& trace_data_for(const EvalRequest& request);

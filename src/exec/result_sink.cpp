@@ -82,6 +82,8 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
   } else {
     os << ",\"model\":{\"top_k\":" << s.model.top_k
        << ",\"estimated\":" << s.model.estimated
+       << ",\"walked\":" << s.model.walked
+       << ",\"walks_reused\":" << s.model.walks_reused
        << ",\"pruned\":" << s.model.pruned
        << ",\"spearman\":" << num(s.model.spearman)
        << ",\"top3_overlap\":" << s.model.top3_overlap << "}";

@@ -88,6 +88,8 @@ struct RunSummary {
     bool enabled = false;
     std::size_t top_k = 0;
     std::size_t estimated = 0;
+    std::size_t walked = 0;
+    std::size_t walks_reused = 0;
     std::size_t pruned = 0;
     double spearman = 0.0;
     std::size_t top3_overlap = 0;
@@ -111,7 +113,8 @@ struct RunSummary {
 ///                     "shards":[{"shard","attempts","ok","exit_code","signal"}]},
 ///    "net":null | {"server","role","jobs_pulled","gets","puts","reconnects",
 ///                  "workers":{client-id:jobs-pulled...}},
-///    "model":null | {"top_k","estimated","pruned","spearman","top3_overlap"},
+///    "model":null | {"top_k","estimated","walked","walks_reused","pruned",
+///                    "spearman","top3_overlap"},
 ///    "options":{flag:final-value...}}
 void write_summary_json(std::ostream& os, const RunSummary& summary);
 

@@ -192,6 +192,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     }
   } else {
     eval::ModelEvaluator model_evaluator;
+    std::atomic<std::size_t> walked{0};
+    std::atomic<std::size_t> walks_reused{0};
     model_points.resize(result.num_points());
     auto model_job = [&](std::size_t t, std::size_t m) {
       workload::WorkloadProfile profile = grid.profiles[t];
@@ -226,6 +228,9 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
         }
         eval::EvalResponse response = model_evaluator.evaluate(request);
         experiments.fetch_add(response.experiments, std::memory_order_relaxed);
+        walked.fetch_add(response.walked, std::memory_order_relaxed);
+        walks_reused.fetch_add(response.walks_reused,
+                               std::memory_order_relaxed);
         for (std::size_t i = 0; i < missing.size(); ++i) {
           const std::size_t s = missing[i];
           model_points[slot_index(t, m, s)] = std::move(response.results[i]);
@@ -265,6 +270,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     result.model.enabled = true;
     result.model.top_k = opt.prune_top_k;
     result.model.estimated = model_points.size();
+    result.model.walked = walked.load();
+    result.model.walks_reused = walks_reused.load();
 
     const std::size_t num_configs =
         grid.machines.size() * grid.schemes.size();

@@ -163,6 +163,11 @@ class SweepResult {
     bool enabled = false;       ///< prune_top_k > 0 on this run.
     std::size_t top_k = 0;      ///< requested frontier size (configs).
     std::size_t estimated = 0;  ///< grid points scored by the model.
+    /// Of the estimated points not served from the cache: those whose
+    /// critical-path walk ran, and those that reused an identical walk of
+    /// another point (eval::ModelEvaluator's walk memo).
+    std::size_t walked = 0;
+    std::size_t walks_reused = 0;
     std::size_t pruned = 0;     ///< slots filled with model estimates only.
     /// Rank agreement between model and simulation over the simulated
     /// frontier configs: Spearman correlation of mean-IPC ranks

@@ -75,6 +75,8 @@ struct SteerHint {
 
   bool has_vc() const { return vc_id != kNoVc; }
   bool has_static_cluster() const { return static_cluster != kNoCluster; }
+
+  bool operator==(const SteerHint&) const = default;
 };
 
 /// One static micro-op. Dynamic instances reference static micro-ops by id.

@@ -46,31 +46,31 @@ struct RegState {
 
 class Walker {
  public:
-  Walker(const prog::Program& program, const MachineConfig& machine,
-         steer::Scheme scheme)
-      : program_(program), machine_(machine), scheme_(scheme) {
-    VCSTEER_CHECK_MSG(machine.num_clusters <= kMaxModelClusters,
+  Walker(const prog::Program& program, const WalkConfig& config)
+      : program_(program), config_(config) {
+    VCSTEER_CHECK_MSG(config.num_clusters <= kMaxModelClusters,
                       "model supports at most 16 clusters");
-    limited_bw_ = machine.interconnect.kind != Topology::kIdeal &&
-                  machine.interconnect.copies_per_link_cycle != ~0u;
-    const std::uint32_t n = machine.num_clusters;
-    decode_[0].configure(machine.decode_width_int);
-    decode_[1].configure(machine.decode_width_fp);
-    rob_[0].configure(machine.rob_int_entries);
-    rob_[1].configure(machine.rob_fp_entries);
-    commit_[0].configure(machine.commit_width_int);
-    commit_[1].configure(machine.commit_width_fp);
-    lsq_.configure(machine.lsq_entries);
+    VCSTEER_CHECK(config.hops.size() ==
+                  std::size_t{config.num_clusters} * config.num_clusters);
+    limited_bw_ = config.copies_per_link_cycle != WalkConfig::kUnlimited;
+    const std::uint32_t n = config.num_clusters;
+    decode_[0].configure(config.decode_width_int);
+    decode_[1].configure(config.decode_width_fp);
+    rob_[0].configure(config.rob_int_entries);
+    rob_[1].configure(config.rob_fp_entries);
+    commit_[0].configure(config.commit_width_int);
+    commit_[1].configure(config.commit_width_fp);
+    lsq_.configure(config.lsq_entries);
     for (std::uint32_t c = 0; c < n; ++c) {
-      iq_window_[c][0].configure(machine.iq_int_entries);
-      iq_window_[c][1].configure(machine.iq_fp_entries);
-      iq_rate_[c][0].configure(machine.issue_width_int);
-      iq_rate_[c][1].configure(machine.issue_width_fp);
-      copy_rate_[c].configure(machine.issue_width_copy);
-      copy_window_[c].configure(machine.iq_copy_entries);
+      iq_window_[c][0].configure(config.iq_int_entries);
+      iq_window_[c][1].configure(config.iq_fp_entries);
+      iq_rate_[c][0].configure(config.issue_width_int);
+      iq_rate_[c][1].configure(config.issue_width_fp);
+      copy_rate_[c].configure(config.issue_width_copy);
+      copy_window_[c].configure(config.iq_copy_entries);
       if (limited_bw_) {
         for (std::uint32_t d = 0; d < n; ++d) {
-          link_[c][d].configure(machine.interconnect.copies_per_link_cycle);
+          link_[c][d].configure(config.copies_per_link_cycle);
         }
       }
     }
@@ -88,7 +88,7 @@ class Walker {
       const std::uint32_t c = steer(uop, i);
 
       // --- dispatch: in-order, behind fetch and every window resource ---
-      std::uint64_t disp = i / machine_.fetch_width + machine_.fetch_to_dispatch;
+      std::uint64_t disp = i / config_.fetch_width + config_.fetch_to_dispatch;
       disp = std::max(disp, last_disp);
       disp = std::max(disp, decode_[q].rate_bound());
       disp = std::max(disp, rob_[q].window_bound());
@@ -180,12 +180,10 @@ class Walker {
     std::uint64_t t = copy_rate_[src].place(start, disp + 1);
     if (limited_bw_) t = link_[src][c].place(t, disp + 1);
     copy_window_[src].push(t);
-    const std::uint32_t hops = topology_distance(
-        machine_.interconnect.kind, machine_.num_clusters, src, c);
-    const std::uint32_t endpoint =
-        machine_.interconnect.link_latency > 0 ? 2 : 0;
+    const std::uint32_t hops = config_.hops[src * config_.num_clusters + c];
+    const std::uint32_t endpoint = config_.link_latency > 0 ? 2 : 0;
     const std::uint64_t arrival =
-        t + std::uint64_t{hops} * machine_.interconnect.link_latency + endpoint;
+        t + std::uint64_t{hops} * config_.link_latency + endpoint;
     r.avail[c] = arrival;
     r.mask |= 1u << c;
     ++est->copies;
@@ -198,7 +196,7 @@ class Walker {
   /// least-inflight counter.
   std::uint32_t least_loaded() const {
     std::uint32_t best = 0;
-    for (std::uint32_t c = 1; c < machine_.num_clusters; ++c) {
+    for (std::uint32_t c = 1; c < config_.num_clusters; ++c) {
       if (recent_[c] < recent_[best]) best = c;
     }
     return best;
@@ -212,9 +210,9 @@ class Walker {
   /// a virtual-cluster table remapped to the least loaded cluster at chain
   /// leaders. OB/RHOP follow their static hints.
   std::uint32_t steer(const isa::MicroOp& uop, std::uint64_t index) {
-    const std::uint32_t n = machine_.num_clusters;
+    const std::uint32_t n = config_.num_clusters;
     std::uint32_t c = n;  // sentinel: fall through to OP-like.
-    switch (scheme_) {
+    switch (config_.scheme) {
       case steer::Scheme::kOneCluster:
         c = 0;
         break;
@@ -283,8 +281,7 @@ class Walker {
   }
 
   const prog::Program& program_;
-  const MachineConfig& machine_;
-  steer::Scheme scheme_;
+  const WalkConfig& config_;
   bool limited_bw_ = false;
 
   std::array<RegState, isa::kNumFlatRegs> regs_{};
@@ -333,14 +330,57 @@ std::vector<std::uint32_t> memory_latencies(
   return extra;
 }
 
+WalkConfig walk_config(const MachineConfig& machine, steer::Scheme scheme) {
+  WalkConfig w;
+  w.fetch_width = machine.fetch_width;
+  w.fetch_to_dispatch = machine.fetch_to_dispatch;
+  w.decode_width_int = machine.decode_width_int;
+  w.decode_width_fp = machine.decode_width_fp;
+  w.rob_int_entries = machine.rob_int_entries;
+  w.rob_fp_entries = machine.rob_fp_entries;
+  w.commit_width_int = machine.commit_width_int;
+  w.commit_width_fp = machine.commit_width_fp;
+  w.lsq_entries = machine.lsq_entries;
+  w.num_clusters = machine.num_clusters;
+  w.iq_int_entries = machine.iq_int_entries;
+  w.iq_fp_entries = machine.iq_fp_entries;
+  w.iq_copy_entries = machine.iq_copy_entries;
+  w.issue_width_int = machine.issue_width_int;
+  w.issue_width_fp = machine.issue_width_fp;
+  w.issue_width_copy = machine.issue_width_copy;
+  const std::uint32_t n = machine.num_clusters;
+  w.hops.resize(std::size_t{n} * n);
+  for (std::uint32_t from = 0; from < n; ++from) {
+    for (std::uint32_t to = 0; to < n; ++to) {
+      w.hops[from * n + to] =
+          topology_distance(machine.interconnect.kind, n, from, to);
+    }
+  }
+  w.link_latency = machine.interconnect.link_latency;
+  w.copies_per_link_cycle = machine.interconnect.kind == Topology::kIdeal
+                                ? WalkConfig::kUnlimited
+                                : machine.interconnect.copies_per_link_cycle;
+  w.scheme =
+      scheme == steer::Scheme::kParallelOp ? steer::Scheme::kOp : scheme;
+  return w;
+}
+
+IntervalEstimate estimate_interval(
+    const prog::Program& program,
+    std::span<const workload::TraceEntry> interval,
+    std::span<const std::uint32_t> load_extra, const WalkConfig& config) {
+  VCSTEER_CHECK(load_extra.size() == interval.size());
+  Walker walker(program, config);
+  return walker.walk(interval, load_extra);
+}
+
 IntervalEstimate estimate_interval(
     const prog::Program& program,
     std::span<const workload::TraceEntry> interval,
     std::span<const std::uint32_t> load_extra, const MachineConfig& machine,
     steer::Scheme scheme) {
-  VCSTEER_CHECK(load_extra.size() == interval.size());
-  Walker walker(program, machine, scheme);
-  return walker.walk(interval, load_extra);
+  return estimate_interval(program, interval, load_extra,
+                           walk_config(machine, scheme));
 }
 
 }  // namespace vcsteer::model

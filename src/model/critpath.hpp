@@ -58,11 +58,21 @@
 // copy is created at the consumer's dispatch, consumes a decode slot of its
 // value's kind (the first-order front-end cost of communication-heavy
 // steering), holds a producer copy-queue slot that backpressures dispatch,
-// waits for the per-cluster copy select width, then crosses hops (the same
-// common/config.hpp topology_distance behind harness::comm_cost_matrix)
-// times the link latency plus wakeup/regfile-write endpoint cycles — the
-// endpoint charge gated on a non-free fabric so a zero-latency interconnect
-// collapses exactly onto the single-cluster bound.
+// waits for the per-cluster copy select width, then crosses hops (a table
+// of the same common/config.hpp topology_distance behind
+// harness::comm_cost_matrix) times the link latency plus wakeup/regfile-
+// write endpoint cycles — the endpoint charge gated on a non-free fabric so
+// a zero-latency interconnect collapses exactly onto the single-cluster
+// bound.
+//
+// The walk reads the machine and scheme only through WalkConfig, a
+// normalised projection built by walk_config(): two configurations with
+// equal WalkConfigs, the same annotated hints and the same memory
+// latencies get the same estimate. Ideal, bus and crossbar fabrics (and a
+// 2-cluster ring) are all one hop per pair, link bandwidth only binds off
+// the ideal fabric, and OP-parallel steers as OP, so many machines of a
+// search collapse onto one WalkConfig; eval::ModelEvaluator walks each
+// distinct one once.
 //
 // What the model does NOT capture (see README "Analytical model & pruned
 // search"): L1 port arbitration, store-to-load forwarding, value-table
@@ -72,6 +82,7 @@
 // source == "model" and never enter golden fixtures.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -89,7 +100,52 @@ struct IntervalEstimate {
   std::uint64_t committed_uops = 0;
   std::uint64_t copies = 0;     ///< inter-cluster operand transfers charged.
   std::uint64_t copy_hops = 0;  ///< topology links those transfers crossed.
+
+  bool operator==(const IntervalEstimate&) const = default;
 };
+
+/// Every (machine, scheme) parameter the walk reads, normalised so that
+/// configurations the walk cannot tell apart compare equal. The walker is
+/// built from this struct alone, so a field it reads can never be missing
+/// from the comparison.
+struct WalkConfig {
+  // Front end and in-order back end.
+  std::uint32_t fetch_width = 0;
+  std::uint32_t fetch_to_dispatch = 0;
+  std::uint32_t decode_width_int = 0;
+  std::uint32_t decode_width_fp = 0;
+  std::uint32_t rob_int_entries = 0;
+  std::uint32_t rob_fp_entries = 0;
+  std::uint32_t commit_width_int = 0;
+  std::uint32_t commit_width_fp = 0;
+  std::uint32_t lsq_entries = 0;
+  // Per-cluster windows and ports.
+  std::uint32_t num_clusters = 0;
+  std::uint32_t iq_int_entries = 0;
+  std::uint32_t iq_fp_entries = 0;
+  std::uint32_t iq_copy_entries = 0;
+  std::uint32_t issue_width_int = 0;
+  std::uint32_t issue_width_fp = 0;
+  std::uint32_t issue_width_copy = 0;
+  /// topology_distance(from, to) at [from * num_clusters + to]; stands in
+  /// for the topology kind, which the walk reads only through hop counts.
+  std::vector<std::uint32_t> hops;
+  std::uint32_t link_latency = 0;
+  /// Copies one link accepts per cycle; kUnlimited on the ideal fabric and
+  /// for ~0u, where the walk books no link slots.
+  std::uint32_t copies_per_link_cycle = 0;
+  /// Steering class: kParallelOp is folded into kOp (the walk's OP
+  /// heuristic serves both, and custom policies too).
+  steer::Scheme scheme = steer::Scheme::kOp;
+
+  static constexpr std::uint32_t kUnlimited = ~0u;
+
+  bool operator==(const WalkConfig&) const = default;
+  auto operator<=>(const WalkConfig&) const = default;
+};
+
+/// The WalkConfig of `machine` steered by `scheme`.
+WalkConfig walk_config(const MachineConfig& machine, steer::Scheme scheme);
 
 /// Functional memory replay: per-interval-entry extra access latency
 /// (0 for non-loads), from private L1/L2 LRU caches with `machine`'s
@@ -103,8 +159,15 @@ std::vector<std::uint32_t> memory_latencies(
 
 /// Walks `interval` (program already annotated for the scheme) and returns
 /// the resource-constrained critical-path estimate. `load_extra` is the
-/// matching memory_latencies() vector. `scheme` selects the steering
-/// approximation; custom policies are approximated as kOp.
+/// matching memory_latencies() vector. The program's steering hints are
+/// the only part of it that differs between schemes.
+IntervalEstimate estimate_interval(
+    const prog::Program& program,
+    std::span<const workload::TraceEntry> interval,
+    std::span<const std::uint32_t> load_extra, const WalkConfig& config);
+
+/// estimate_interval on walk_config(machine, scheme). `scheme` selects the
+/// steering approximation; custom policies are approximated as kOp.
 IntervalEstimate estimate_interval(
     const prog::Program& program,
     std::span<const workload::TraceEntry> interval,

@@ -5,13 +5,18 @@
 // unpruned run.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/model_evaluator.hpp"
 #include "eval/sim_evaluator.hpp"
 #include "exec/cache.hpp"
+#include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
+#include "steer/mod_policy.hpp"
 #include "workload/profiles.hpp"
 
 namespace vcsteer::eval {
@@ -162,6 +167,133 @@ TEST(Evaluator, ModelBackendMemoisesMemoryReplayPerCacheGeometry) {
                 exec::encode_result(expect.results[i]));
     }
   }
+}
+
+// The walk-memo grid: 4 clusters on every topology at {link latency 1,
+// unlimited bandwidth} and {latency 2, 1 copy per link-cycle}, the ring
+// also topology-aware (same walk config, different OB/VC hints), the
+// ideal fabric over a second L2 geometry (same walk config and hints,
+// different memory replay), and ideal vs bus with a 2-wide copy select
+// (where link bandwidth changes the estimate).
+std::vector<MachineConfig> memo_machines() {
+  std::vector<MachineConfig> machines;
+  for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                              Topology::kRing, Topology::kCrossbar}) {
+    for (const bool aware : {false, true}) {
+      if (aware && topo != Topology::kRing) continue;
+      for (const auto& [latency, bandwidth] :
+           {std::pair{1u, ~0u}, std::pair{2u, 1u}}) {
+        MachineConfig m = MachineConfig::four_cluster();
+        m.interconnect.kind = topo;
+        m.interconnect.link_latency = latency;
+        m.interconnect.copies_per_link_cycle = bandwidth;
+        m.steer.topology_aware = aware;
+        machines.push_back(m);
+      }
+    }
+  }
+  // The smoke trace's working set fits a 64 KB L2; at 32 KB it misses.
+  MachineConfig small_l2 = MachineConfig::four_cluster();
+  small_l2.l2 = CacheConfig{32 * 1024, 4, 64, 13};
+  machines.push_back(small_l2);
+  // Behind a 1-wide copy select a link never sees two copies in a cycle;
+  // at 2 wide, 1 copy per link-cycle binds off the ideal fabric.
+  for (const Topology topo : {Topology::kIdeal, Topology::kBus}) {
+    MachineConfig m = MachineConfig::four_cluster();
+    m.interconnect.kind = topo;
+    m.interconnect.link_latency = 2;
+    m.interconnect.copies_per_link_cycle = 1;
+    m.issue_width_copy = 2;
+    machines.push_back(m);
+  }
+  return machines;
+}
+
+std::vector<harness::SchemeRequest> memo_schemes() {
+  return {harness::SchemeSpec{steer::Scheme::kOp, 0},
+          harness::SchemeSpec{steer::Scheme::kOb, 0},
+          harness::SchemeSpec{steer::Scheme::kRhop, 0},
+          harness::SchemeSpec{steer::Scheme::kVc, 2},
+          harness::SchemeSpec{steer::Scheme::kParallelOp, 0},
+          harness::SchemeRequest("MOD3", [](const MachineConfig&) {
+            return std::make_unique<steer::ModNPolicy>(3);
+          })};
+}
+
+// Distinct walks on the memo grid: 5 walk configs (ideal/bus/crossbar and
+// the ring, each at the two link settings, with the ideal fabric's
+// bandwidth folded away) x 4 steering classes (OP = OP-parallel = MOD3),
+// plus OB and VC on the two topology-aware rings, plus 4 on the second
+// L2 geometry, plus 4 on each 2-wide copy-select machine.
+constexpr std::size_t kMemoGridWalks = 5 * 4 + 2 * 2 + 4 + 2 * 4;
+
+// The walk memo is invisible: one evaluator serving the whole grid returns
+// exactly what a fresh evaluator returns for each request, while walking
+// only the distinct keys.
+TEST(Evaluator, ModelWalkMemoMatchesFreshEvaluatorPerRequest) {
+  ModelEvaluator shared;
+  std::size_t walked = 0;
+  std::size_t reused = 0;
+  std::size_t points = 0;
+  for (const MachineConfig& machine : memo_machines()) {
+    EvalRequest req;
+    req.profile = smoke_profile();
+    req.machine = machine;
+    req.budget = harness::SimBudget::smoke();
+    req.schemes = memo_schemes();
+    const EvalResponse memo = shared.evaluate(req);
+    const EvalResponse expect = ModelEvaluator().evaluate(req);
+    // OP, OB, RHOP and VC walk; OP-parallel and MOD3 reuse OP's walk.
+    EXPECT_EQ(expect.walked, 4u);
+    EXPECT_EQ(expect.walks_reused, 2u);
+    ASSERT_EQ(memo.results.size(), expect.results.size());
+    for (std::size_t i = 0; i < expect.results.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << machine.summary() << " aware "
+                                      << machine.steer.topology_aware << " "
+                                      << expect.results[i].scheme);
+      EXPECT_EQ(exec::encode_result(memo.results[i]),
+                exec::encode_result(expect.results[i]));
+    }
+    walked += memo.walked;
+    reused += memo.walks_reused;
+    points += req.schemes.size();
+  }
+  EXPECT_EQ(walked + reused, points);
+  EXPECT_EQ(walked, kMemoGridWalks);
+}
+
+// The memo is shared by the sweep's worker threads: a pruned sweep of the
+// memo grid writes the same bytes, and counts the same walks, at jobs = 4
+// as at jobs = 1.
+TEST(PrunedSweep, SharedWalkMemoIsThreadSafe) {
+  exec::SweepGrid grid;
+  grid.profiles = {smoke_profile()};
+  grid.machines = memo_machines();
+  grid.schemes = memo_schemes();
+  grid.budget = harness::SimBudget::smoke();
+  std::string bytes[2];
+  std::size_t walked[2] = {};
+  std::size_t reused[2] = {};
+  for (const unsigned jobs : {1u, 4u}) {
+    exec::SweepOptions opt;
+    opt.jobs = jobs;
+    opt.prune_top_k = 1;
+    const exec::SweepResult sweep = exec::run_sweep(grid, opt);
+    exec::ResultSink sink("memo");
+    sink.add_sweep(sweep);
+    std::ostringstream os;
+    sink.write_json(os);
+    const std::size_t i = jobs == 1 ? 0 : 1;
+    bytes[i] = os.str();
+    walked[i] = sweep.model.walked;
+    reused[i] = sweep.model.walks_reused;
+    EXPECT_EQ(sweep.model.walked + sweep.model.walks_reused,
+              sweep.model.estimated);
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+  EXPECT_EQ(walked[0], kMemoGridWalks);
+  EXPECT_EQ(walked[1], walked[0]);
+  EXPECT_EQ(reused[1], reused[0]);
 }
 
 exec::SweepGrid small_grid() {

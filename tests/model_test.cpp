@@ -322,6 +322,197 @@ TEST(CritPath, PinnedEstimatesOnSearchGrid) {
   EXPECT_EQ(row, std::size(kPinned));
 }
 
+// --- The walk's key (WalkConfig) ---
+
+// The model-search machines of one cluster count, in kPinned's row order.
+std::vector<MachineConfig> search_machines(std::uint32_t clusters) {
+  std::vector<MachineConfig> machines;
+  for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                              Topology::kRing, Topology::kCrossbar}) {
+    for (const auto& [latency, bandwidth] :
+         {std::pair{1u, ~0u}, std::pair{2u, 1u}}) {
+      MachineConfig m = clusters == 2 ? MachineConfig::two_cluster()
+                                      : MachineConfig::four_cluster();
+      m.interconnect.kind = topo;
+      m.interconnect.link_latency = latency;
+      m.interconnect.copies_per_link_cycle = bandwidth;
+      machines.push_back(m);
+    }
+  }
+  return machines;
+}
+
+std::size_t distinct_walk_configs(const std::vector<MachineConfig>& machines,
+                                  steer::Scheme scheme) {
+  std::vector<WalkConfig> seen;
+  for (const MachineConfig& m : machines) {
+    const WalkConfig w = walk_config(m, scheme);
+    if (std::find(seen.begin(), seen.end(), w) == seen.end()) {
+      seen.push_back(w);
+    }
+  }
+  return seen.size();
+}
+
+// Pins the equivalence classes the walk memo merges on the search grid:
+// ideal, bus and crossbar (and, at 2 clusters, the ring) are one hop per
+// pair, and the ideal fabric ignores link bandwidth, so the 8 machines
+// give 3 distinct walks at 2 clusters and 5 at 4 clusters; OP-parallel
+// steers as OP. kPinned was produced by a walk that read MachineConfig
+// directly, so every pair of rows that shares a WalkConfig and the
+// annotated hints must carry identical pinned estimates.
+TEST(CritPath, SearchGridWalkConfigClasses) {
+  for (const steer::Scheme scheme :
+       {steer::Scheme::kOp, steer::Scheme::kOb, steer::Scheme::kVc}) {
+    EXPECT_EQ(distinct_walk_configs(search_machines(2), scheme), 3u);
+    EXPECT_EQ(distinct_walk_configs(search_machines(4), scheme), 5u);
+  }
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const MachineConfig& m : search_machines(clusters)) {
+      EXPECT_EQ(walk_config(m, steer::Scheme::kParallelOp),
+                walk_config(m, steer::Scheme::kOp));
+      EXPECT_NE(walk_config(m, steer::Scheme::kOb),
+                walk_config(m, steer::Scheme::kRhop));
+    }
+  }
+
+  const harness::TraceExperiment& exp = shared_trace();
+  const harness::SchemeSpec schemes[] = {
+      {steer::Scheme::kOp, 0},   {steer::Scheme::kOb, 0},
+      {steer::Scheme::kRhop, 0}, {steer::Scheme::kVc, 2},
+      {steer::Scheme::kParallelOp, 0},
+  };
+  struct Row {
+    WalkConfig config;
+    std::vector<isa::SteerHint> hints;
+  };
+  std::vector<Row> rows;
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const MachineConfig& m : search_machines(clusters)) {
+      for (const harness::SchemeSpec& spec : schemes) {
+        prog::Program program = exp.workload().program;
+        harness::annotate_for_scheme(program, spec, m);
+        Row row{walk_config(m, spec.scheme), {}};
+        for (prog::UopId u = 0; u < program.num_uops(); ++u) {
+          row.hints.push_back(program.uop(u).hint);
+        }
+        rows.push_back(std::move(row));
+      }
+    }
+  }
+  ASSERT_EQ(rows.size(), std::size(kPinned));
+  std::size_t merged = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t j = i + 1; j < rows.size(); ++j) {
+      if (rows[i].config != rows[j].config || rows[i].hints != rows[j].hints) {
+        continue;
+      }
+      ++merged;
+      for (std::size_t p = 0; p < 3; ++p) {
+        SCOPED_TRACE(testing::Message()
+                     << "rows " << i << ", " << j << " point " << p);
+        EXPECT_EQ(kPinned[i][p].cycles, kPinned[j][p].cycles);
+        EXPECT_EQ(kPinned[i][p].copies, kPinned[j][p].copies);
+        EXPECT_EQ(kPinned[i][p].copy_hops, kPinned[j][p].copy_hops);
+      }
+    }
+  }
+  EXPECT_GT(merged, 0u);
+}
+
+// Every MachineConfig field, perturbed alone from two base machines
+// (2-cluster ideal; 4-cluster ring at 1 copy per link-cycle): either the
+// WalkConfig changes, or the walk returns the identical estimate on every
+// simulation point. The program's hints and the memory latencies are held
+// at the base machine's, since the walk memo keys those separately.
+TEST(CritPath, EveryMachineFieldChangesTheWalkConfigOrNotTheEstimate) {
+  using Perturb = void (*)(MachineConfig&);
+  const Perturb perturbations[] = {
+      [](MachineConfig& m) { m.fetch_width += 2; },
+      [](MachineConfig& m) { m.fetch_to_dispatch += 3; },
+      [](MachineConfig& m) { m.decode_width_int -= 1; },
+      [](MachineConfig& m) { m.decode_width_fp -= 1; },
+      [](MachineConfig& m) { m.rob_int_entries = 32; },
+      [](MachineConfig& m) { m.rob_fp_entries = 32; },
+      [](MachineConfig& m) { m.commit_width_int -= 1; },
+      [](MachineConfig& m) { m.commit_width_fp -= 1; },
+      [](MachineConfig& m) { m.num_clusters = 3; },
+      [](MachineConfig& m) { m.iq_int_entries = 8; },
+      [](MachineConfig& m) { m.iq_fp_entries = 8; },
+      [](MachineConfig& m) { m.iq_copy_entries = 2; },
+      [](MachineConfig& m) { m.issue_width_int = 1; },
+      [](MachineConfig& m) { m.issue_width_fp = 1; },
+      [](MachineConfig& m) { m.issue_width_copy = 2; },
+      [](MachineConfig& m) { m.regfile_int = 64; },
+      [](MachineConfig& m) { m.regfile_fp = 64; },
+      [](MachineConfig& m) { m.interconnect.kind = Topology::kIdeal; },
+      [](MachineConfig& m) { m.interconnect.kind = Topology::kBus; },
+      [](MachineConfig& m) { m.interconnect.kind = Topology::kRing; },
+      [](MachineConfig& m) { m.interconnect.kind = Topology::kCrossbar; },
+      [](MachineConfig& m) { m.interconnect.link_latency += 1; },
+      [](MachineConfig& m) { m.interconnect.copies_per_link_cycle = 2; },
+      [](MachineConfig& m) { m.interconnect.copies_per_link_cycle = ~0u; },
+      [](MachineConfig& m) { m.steer.topology_aware = !m.steer.topology_aware; },
+      [](MachineConfig& m) { m.steer.contention_weight *= 4; },
+      [](MachineConfig& m) { m.l1d.size_bytes /= 4; },
+      [](MachineConfig& m) { m.l1d.associativity = 1; },
+      [](MachineConfig& m) { m.l1d.line_bytes = 32; },
+      [](MachineConfig& m) { m.l1d.hit_latency += 2; },
+      [](MachineConfig& m) { m.l2.size_bytes /= 16; },
+      [](MachineConfig& m) { m.l2.associativity = 2; },
+      [](MachineConfig& m) { m.l2.line_bytes = 128; },
+      [](MachineConfig& m) { m.l2.hit_latency += 5; },
+      [](MachineConfig& m) { m.memory_latency = 100; },
+      [](MachineConfig& m) { m.lsq_entries = 8; },
+      [](MachineConfig& m) { m.l1_read_ports = 1; },
+      [](MachineConfig& m) { m.l1_write_ports = 2; },
+      [](MachineConfig& m) { m.op_occupancy_threshold = 0.25; },
+  };
+  MachineConfig ring = MachineConfig::four_cluster();
+  ring.interconnect.kind = Topology::kRing;
+  ring.interconnect.copies_per_link_cycle = 1;
+  const harness::TraceExperiment& exp = shared_trace();
+  std::size_t changed = 0;
+  std::size_t same = 0;
+  for (const MachineConfig& base : {MachineConfig::two_cluster(), ring}) {
+    for (const steer::Scheme scheme :
+         {steer::Scheme::kOp, steer::Scheme::kOneCluster, steer::Scheme::kOb,
+          steer::Scheme::kRhop, steer::Scheme::kVc,
+          steer::Scheme::kParallelOp}) {
+      prog::Program program = exp.workload().program;
+      harness::annotate_for_scheme(program, {scheme, 0}, base);
+      std::vector<std::vector<std::uint32_t>> extra;
+      std::vector<IntervalEstimate> expect;
+      for (std::size_t p = 0; p < exp.intervals().size(); ++p) {
+        extra.push_back(memory_latencies(program, exp.intervals()[p],
+                                         exp.warm_addrs()[p], base));
+        expect.push_back(estimate_interval(program, exp.intervals()[p],
+                                           extra[p], base, scheme));
+      }
+      for (std::size_t f = 0; f < std::size(perturbations); ++f) {
+        MachineConfig perturbed = base;
+        perturbations[f](perturbed);
+        if (walk_config(perturbed, scheme) != walk_config(base, scheme)) {
+          ++changed;
+          continue;
+        }
+        ++same;
+        for (std::size_t p = 0; p < exp.intervals().size(); ++p) {
+          SCOPED_TRACE(testing::Message()
+                       << "clusters " << base.num_clusters << " scheme "
+                       << steer::scheme_name(scheme) << " perturbation " << f
+                       << " point " << p);
+          EXPECT_EQ(estimate_interval(program, exp.intervals()[p], extra[p],
+                                      perturbed, scheme),
+                    expect[p]);
+        }
+      }
+    }
+  }
+  EXPECT_GT(changed, 0u);
+  EXPECT_GT(same, 0u);
+}
+
 // --- Differential tests of the walk's constraint structures (pools.hpp) ---
 //
 // Each structure is checked against a brute-force oracle of its definition
