@@ -752,6 +752,7 @@ class Output {
     cache_hits_ += sweep.cache_hits;
     corrupt_ += sweep.cache_corrupt;
     experiments_ += sweep.experiments;
+    trace_builds_ += sweep.trace_builds;
     phases_ += sweep.phases;
     for (const auto& [label, span] : sweep.scheme_simulate_s) {
       schemes_[label].simulate_s += span;
@@ -776,6 +777,8 @@ class Output {
       schemes_[label].simulate_s += span;
     }
     experiments_ += sweep.experiments;
+    trace_builds_ += sweep.trace_builds;
+    traces_ += sweep.num_traces();
     phases_ += sweep.phases;
     if (sweep.model.enabled) {
       // Counters sum across sweeps; the rank-agreement stats describe one
@@ -825,6 +828,8 @@ class Output {
     summary.uops = uops_;
     summary.cycles = cycles_;
     summary.experiments = experiments_;
+    summary.trace_builds = trace_builds_;
+    summary.traces = traces_;
     summary.phases = phases_;
     summary.schemes = schemes_;
     if (launch_report_) {
@@ -861,6 +866,8 @@ class Output {
   std::uint64_t uops_ = 0;
   std::uint64_t cycles_ = 0;
   std::size_t experiments_ = 0;
+  std::size_t trace_builds_ = 0;
+  std::size_t traces_ = 0;
   exec::PhaseSeconds phases_;
   std::map<std::string, exec::RunSummary::SchemeSummary> schemes_;
   bool first_ = true;

@@ -20,7 +20,6 @@
 #include "harness/experiment.hpp"
 #include "model/critpath.hpp"
 #include "sim/core.hpp"
-#include "sim/sim_context.hpp"
 #include "sim/value_table.hpp"
 #include "workload/pinpoints.hpp"
 #include "workload/profiles.hpp"
@@ -189,19 +188,19 @@ void BM_SoAValueTableChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SoAValueTableChurn);
 
-// Arena reuse (SimContext) vs per-run core reconstruction: the same short
-// trace simulated in a reused reset-in-place core and in a freshly built
-// one. The gap is the allocation/initialisation cost a sweep pays per
+// Arena reuse vs per-run core reconstruction: the same short trace
+// simulated in a reused reset-in-place core (as each TraceExperiment keeps
+// one) and in a freshly built one. The gap is the allocation/initialisation cost a sweep pays per
 // (trace, machine, scheme) point without the arena.
 void BM_ArenaRunReused(benchmark::State& state) {
   const workload::GeneratedWorkload wl = workload::generate(bench_profile());
   workload::TraceSource trace(wl);
   const auto entries = trace.take(5'000);
   const MachineConfig cfg = MachineConfig::two_cluster();
-  sim::SimContext ctx(cfg, wl.program);
+  sim::ClusteredCore core(cfg, wl.program);
   const auto policy = steer::make_policy(steer::Scheme::kOp, cfg);
   for (auto _ : state) {
-    const sim::SimStats stats = ctx.core().run(entries, *policy);
+    const sim::SimStats stats = core.run(entries, *policy);
     benchmark::DoNotOptimize(stats.cycles);
   }
   state.SetItemsProcessed(state.iterations() * 5'000);
@@ -225,14 +224,17 @@ BENCHMARK(BM_ArenaRunFresh);
 
 // The analytical model's critical-path walk (model::estimate_interval) over
 // every simulation point of the smoke trace, on a 4-cluster ring whose
-// links take 2 cycles and carry 1 copy per cycle, so every constraint pool
-// (issue ports, copy select, link bandwidth, IQ/LSQ/copy windows) binds.
+// links take 2 cycles and carry 1 copy per cycle behind a 2-wide copy
+// select, so every constraint pool (issue ports, copy select, link
+// bandwidth, IQ/LSQ/copy windows) binds: a link at least as wide as the
+// copy select never binds, and the walk skips it.
 // items/s is walked micro-ops per second; per_uop is its inverse.
 void BM_ModelWalk(benchmark::State& state) {
   MachineConfig cfg = MachineConfig::four_cluster();
   cfg.interconnect.kind = Topology::kRing;
   cfg.interconnect.link_latency = 2;
   cfg.interconnect.copies_per_link_cycle = 1;
+  cfg.issue_width_copy = 2;
   const harness::TraceExperiment exp(bench_profile(), cfg,
                                      harness::SimBudget::smoke());
   const prog::Program& program = exp.workload().program;

@@ -12,10 +12,11 @@
 //
 // The request carries one (trace, machine) cell with *all* its scheme
 // requests at once, because both backends amortise per-cell work across
-// schemes: the simulator shares one materialised trace and one warmed
-// cache hierarchy per simulation point, the model shares one materialised
-// trace, one functional memory replay per cache geometry, and one walk per
-// distinct model::WalkConfig and annotation.
+// schemes: the simulator shares one core per cell, the model one walk per
+// distinct model::WalkConfig and annotation. Both share one materialised
+// trace (harness::TraceArtefact) across cells: the simulator its warmed
+// cache hierarchy per simulation point and cache geometry, the model its
+// functional memory replay per cache geometry.
 // exec::run_sweep's two-stage pruned mode (--prune-model K) estimates every
 // grid point with ModelEvaluator and spends SimEvaluator only on the top-K
 // frontier.
@@ -23,6 +24,7 @@
 
 #include <cstddef>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,10 @@ struct EvalRequest {
   MachineConfig machine;
   harness::SimBudget budget;
   std::vector<harness::SchemeRequest> schemes;
+  /// The trace of (profile, budget), when the caller already holds it (the
+  /// sweep builds each trace once and shares it across its jobs); null
+  /// makes the backend build or reuse its own.
+  std::shared_ptr<const harness::TraceArtefact> trace = nullptr;
 };
 
 struct EvalResponse {
@@ -55,9 +61,9 @@ struct EvalResponse {
   harness::PhaseTimes phases;
   /// Per-scheme-label share of the simulate/walk span.
   std::map<std::string, double> scheme_simulate_s;
-  /// Trace experiments constructed serving this call (0 when the backend
-  /// reused a memoised trace).
-  std::size_t experiments = 0;
+  /// Traces built serving this call: 0 when the request carried one or
+  /// the backend reused a memoised one.
+  std::size_t trace_builds = 0;
   /// Model backend only: results whose critical-path walk ran in this call,
   /// and results served from an earlier call's identical walk.
   std::size_t walked = 0;

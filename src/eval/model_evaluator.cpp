@@ -18,9 +18,8 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Trace data is a function of (profile, budget) only — TraceExperiment's
-// machine argument affects simulation, not workload generation, PinPoints
-// selection or interval replay — so the memoisation key ignores machine.
+// A trace is a function of (profile, budget) only (harness::TraceArtefact),
+// so the memoisation key ignores the machine.
 std::string trace_key(const workload::WorkloadProfile& profile,
                       const harness::SimBudget& budget) {
   return profile.name + '#' + std::to_string(profile.seed_salt) + '#' +
@@ -61,17 +60,16 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
   const LoadExtra* load_extra = nullptr;
   {
     std::lock_guard<std::mutex> lock(data.mutex);
-    if (!data.experiment) {
-      data.experiment = std::make_unique<harness::TraceExperiment>(
-          request.profile, request.machine, request.budget);
-      response.experiments = 1;
-    }
-    if (!data.billed) {
-      // Bill trace construction to the first response that used it; later
-      // cells reusing the memoised trace report zero build time, which is
-      // what actually happened.
-      response.phases.trace_build_s = data.experiment->phases().trace_build_s;
-      data.billed = true;
+    if (!data.trace) {
+      // The first request of a trace supplies it, or has it built here and
+      // billed to this response; later cells reuse it at no build cost.
+      data.trace = request.trace;
+      if (!data.trace) {
+        data.trace = std::make_shared<const harness::TraceArtefact>(
+            request.profile, request.budget);
+        response.phases.trace_build_s = data.trace->build_s();
+        response.trace_builds = 1;
+      }
     }
     // Functional memory replay is scheme-independent and reads only the
     // cache geometry of the machine: one pass per (trace, geometry), shared
@@ -80,25 +78,25 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
     // std::map nodes are stable, so the pointer outlives the lock.
     const auto [it, inserted] = data.load_extra.try_emplace(memory);
     if (inserted) {
-      const harness::TraceExperiment& experiment = *data.experiment;
+      const harness::TraceArtefact& trace = *data.trace;
       const Clock::time_point warm_t0 = Clock::now();
-      for (std::size_t p = 0; p < experiment.intervals().size(); ++p) {
+      for (std::size_t p = 0; p < trace.intervals().size(); ++p) {
         it->second.push_back(model::memory_latencies(
-            experiment.workload().program, experiment.intervals()[p],
-            experiment.warm_addrs()[p], machine));
+            trace.workload().program, trace.intervals()[p],
+            trace.warm_addrs()[p], machine));
       }
       response.phases.warmup_s = seconds_since(warm_t0);
     }
     load_extra = &it->second;
   }
-  const harness::TraceExperiment& experiment = *data.experiment;
-  const auto& points = experiment.simpoints();
-  const auto& intervals = experiment.intervals();
+  const harness::TraceArtefact& trace = *data.trace;
+  const auto& points = trace.simpoints();
+  const auto& intervals = trace.intervals();
 
   for (const harness::SchemeRequest& scheme : request.schemes) {
     // Custom-policy requests carry no software pass and no scheme enum; the
     // model approximates them with the OP heuristic on unannotated hints.
-    prog::Program program = experiment.workload().program;
+    prog::Program program = trace.workload().program;
     steer::Scheme approx = steer::Scheme::kOp;
     const Clock::time_point annotate_t0 = Clock::now();
     if (!scheme.is_custom()) {

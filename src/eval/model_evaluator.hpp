@@ -18,11 +18,12 @@
 
 namespace vcsteer::eval {
 
-/// Scores cells with model::estimate_interval. Trace materialisation (the
-/// expensive part the model shares with simulation: workload generation,
-/// PinPoints selection, interval replay) is memoised per (profile, budget)
-/// across calls, so a sweep visiting one trace under hundreds of machines
-/// pays trace construction once. The functional memory replay depends only
+/// Scores cells with model::estimate_interval. The trace (the part the
+/// model shares with simulation: workload generation, PinPoints selection,
+/// interval replay) is kept per (profile, budget) across calls: the first
+/// request of a trace supplies it (EvalRequest::trace) or has it built, so
+/// a sweep visiting one trace under hundreds of machines pays trace
+/// construction once. The functional memory replay depends only
 /// on the trace and the cache geometry (L1D, L2, memory latency), so it is
 /// memoised per (trace, geometry): the machines of a search that share one
 /// hierarchy replay it once. The walk itself is memoised per trace on its
@@ -62,8 +63,7 @@ class ModelEvaluator final : public Evaluator {
 
   struct TraceData {
     std::mutex mutex;  ///< guards every member below.
-    std::unique_ptr<harness::TraceExperiment> experiment;
-    bool billed = false;  ///< trace_build_s already reported to a response.
+    std::shared_ptr<const harness::TraceArtefact> trace;
     std::map<MemoryKey, LoadExtra> load_extra;
     /// Distinct annotations seen on this trace; WalkKey::hints indexes it.
     std::vector<Hints> hints;

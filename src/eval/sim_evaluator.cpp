@@ -3,13 +3,18 @@
 namespace vcsteer::eval {
 
 EvalResponse SimEvaluator::evaluate(const EvalRequest& request) {
-  harness::TraceExperiment experiment(request.profile, request.machine,
-                                      request.budget);
   EvalResponse response;
+  std::shared_ptr<const harness::TraceArtefact> trace = request.trace;
+  if (!trace) {
+    trace = std::make_shared<const harness::TraceArtefact>(request.profile,
+                                                           request.budget);
+    response.phases.trace_build_s = trace->build_s();
+    response.trace_builds = 1;
+  }
+  harness::TraceExperiment experiment(std::move(trace), request.machine);
   response.results = experiment.evaluate(request.schemes);
-  response.phases = experiment.phases();
+  response.phases += experiment.phases();
   response.scheme_simulate_s = experiment.scheme_simulate_s();
-  response.experiments = 1;
   return response;
 }
 

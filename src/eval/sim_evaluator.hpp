@@ -5,9 +5,10 @@
 
 namespace vcsteer::eval {
 
-/// Stateless — each call builds the cell's TraceExperiment, exactly like
-/// the sweep engine's historical direct path, so results (and the cache
-/// entries derived from them) are bit-identical to it.
+/// Stateless — each call builds the cell's TraceExperiment over the
+/// request's shared trace (or a private one when it carries none), so
+/// results (and the cache entries derived from them) are bit-identical to
+/// a direct TraceExperiment run.
 class SimEvaluator final : public Evaluator {
  public:
   Source source() const override { return Source::kSim; }

@@ -383,8 +383,13 @@ bool decode_result(const std::string& text, harness::RunResult* out) {
       !read_sim_stats(fields, "last_interval.", &r.last_interval)) {
     return false;  // truncated/garbled inside the result section
   }
+  // Readers index the per-cluster arrays up to num_clusters, so a count
+  // beyond them is corrupt, not something to truncate or trust.
   std::uint64_t num_clusters = 0;
-  if (!get_u64(fields, "num_clusters", &num_clusters)) return false;
+  if (!get_u64(fields, "num_clusters", &num_clusters) ||
+      num_clusters > sim::kMaxClusters) {
+    return false;
+  }
   r.num_clusters = static_cast<std::uint32_t>(num_clusters);
   for (std::uint32_t c = 0; c < sim::kMaxClusters; ++c) {
     const std::string idx = std::to_string(c);

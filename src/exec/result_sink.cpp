@@ -38,7 +38,8 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
   }
   os << "}"
      << ",\"events\":{\"experiments\":" << s.experiments
-     << ",\"cycles\":" << s.cycles << "}";
+     << ",\"trace_builds\":" << s.trace_builds
+     << ",\"traces\":" << s.traces << ",\"cycles\":" << s.cycles << "}";
   if (s.launch_workers == 0) {
     os << ",\"launch\":null";
   } else {

@@ -50,6 +50,11 @@ struct RunSummary {
   std::uint64_t cycles = 0;
   /// TraceExperiments constructed across all sweeps of this run.
   std::size_t experiments = 0;
+  /// Traces built across all sweeps of this run (SweepResult::trace_builds),
+  /// and the traces of the grids they ran (SweepResult::num_traces, once
+  /// per recorded sweep): equal on a cold sweep that builds each trace once.
+  std::size_t trace_builds = 0;
+  std::size_t traces = 0;
   /// Per-phase spans summed over all sweeps (see exec::PhaseSeconds).
   PhaseSeconds phases;
   /// Per-scheme committed uops and simulate spans, for honest per-scheme
@@ -108,7 +113,7 @@ struct RunSummary {
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
 ///              "cache_io_s"},
 ///    "schemes":{label:{"uops","simulate_s"}...},
-///    "events":{"experiments","cycles"},
+///    "events":{"experiments","trace_builds","traces","cycles"},
 ///    "launch":null | {"workers","max_retries","ok","failed_shards",
 ///                     "shards":[{"shard","attempts","ok","exit_code","signal"}]},
 ///    "net":null | {"server","role","jobs_pulled","gets","puts","reconnects",

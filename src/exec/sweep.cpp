@@ -35,6 +35,66 @@ class LocalStore final : public ResultStore {
   ResultCache cache_;
 };
 
+/// The sweep's traces, shared by both stages and every job: each trace is
+/// built by the first job that needs it and dropped when the last job
+/// announced on it finishes, so a trace is built once per sweep and only
+/// the traces in flight are held. Jobs announce themselves up front
+/// (static schedules) or when leased (queue mode, where a trace whose
+/// announced jobs have all finished is dropped and rebuilt on demand).
+class SharedTraces {
+ public:
+  SharedTraces(const SweepGrid& grid, std::uint64_t seed_salt)
+      : grid_(grid), seed_salt_(seed_salt), slots_(grid.profiles.size()) {}
+
+  /// `jobs` more jobs will run on trace t, each ending in done(t).
+  void expect(std::size_t t, std::size_t jobs) {
+    std::lock_guard<std::mutex> lock(slots_[t].mutex);
+    slots_[t].jobs_left += jobs;
+  }
+
+  /// Trace t, built here on first use; `build_s` accumulates the seconds
+  /// this call spent building it. Concurrent callers of a trace being
+  /// built wait for it.
+  std::shared_ptr<const harness::TraceArtefact> get(std::size_t t,
+                                                    double* build_s) {
+    Slot& slot = slots_[t];
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    VCSTEER_CHECK(slot.jobs_left > 0);
+    if (!slot.trace) {
+      workload::WorkloadProfile profile = grid_.profiles[t];
+      profile.seed_salt += seed_salt_;
+      slot.trace = std::make_shared<const harness::TraceArtefact>(
+          profile, grid_.budget);
+      *build_s += slot.trace->build_s();
+      builds_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return slot.trace;
+  }
+
+  /// One job on trace t finished; after the last, the trace is dropped
+  /// (jobs still using it keep their own reference).
+  void done(std::size_t t) {
+    Slot& slot = slots_[t];
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    VCSTEER_CHECK(slot.jobs_left > 0);
+    if (--slot.jobs_left == 0) slot.trace.reset();
+  }
+
+  std::size_t builds() const { return builds_.load(); }
+
+ private:
+  struct Slot {
+    std::mutex mutex;  ///< guards both members.
+    std::shared_ptr<const harness::TraceArtefact> trace;
+    std::size_t jobs_left = 0;
+  };
+
+  const SweepGrid& grid_;
+  std::uint64_t seed_salt_;
+  std::vector<Slot> slots_;
+  std::atomic<std::size_t> builds_{0};
+};
+
 /// Tie-averaged descending ranks (rank 1 = largest value), the standard
 /// Spearman convention: tied values share the mean of the ranks they span.
 std::vector<double> tied_ranks(const std::vector<double>& values) {
@@ -172,6 +232,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   };
 
   eval::SimEvaluator sim_evaluator;
+  SharedTraces traces(grid, opt.seed_salt);
   const auto slot_index = [&](std::size_t t, std::size_t m, std::size_t s) {
     return (t * grid.machines.size() + m) * grid.schemes.size() + s;
   };
@@ -191,6 +252,11 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       for (std::size_t s = 0; s < grid.schemes.size(); ++s) schemes[s] = s;
     }
   } else {
+    // Every cell of stage 1, plus one hold per trace that keeps it alive
+    // until stage 2's jobs are announced.
+    for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
+      traces.expect(t, grid.machines.size() + 1);
+    }
     eval::ModelEvaluator model_evaluator;
     std::atomic<std::size_t> walked{0};
     std::atomic<std::size_t> walks_reused{0};
@@ -226,8 +292,8 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
         for (const std::size_t s : missing) {
           request.schemes.push_back(grid.schemes[s]);
         }
+        request.trace = traces.get(t, &job_phases.trace_build);
         eval::EvalResponse response = model_evaluator.evaluate(request);
-        experiments.fetch_add(response.experiments, std::memory_order_relaxed);
         walked.fetch_add(response.walked, std::memory_order_relaxed);
         walks_reused.fetch_add(response.walks_reused,
                                std::memory_order_relaxed);
@@ -240,11 +306,11 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
             job_phases.cache_io += seconds_since(t0);
           }
         }
-        job_phases.trace_build += response.phases.trace_build_s;
         job_phases.annotate += response.phases.annotate_s;
         job_phases.warmup += response.phases.warmup_s;
         job_phases.simulate += response.phases.simulate_s;
       }
+      traces.done(t);
       std::lock_guard<std::mutex> lock(phases_mutex);
       phases += job_phases;
     };
@@ -309,8 +375,11 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     for (std::size_t m = 0; m < grid.machines.size(); ++m) {
       if (in_shard(t, m, grid.machines.size()) && !sim_schemes[m].empty()) {
         ++num_jobs;
+        // Leased jobs announce themselves when acquired.
+        if (opt.queue == nullptr) traces.expect(t, 1);
       }
     }
+    if (opt.prune_top_k > 0) traces.done(t);  // release stage 1's hold
   }
   if (opt.prune_top_k == 0) {
     result.skipped = (total_jobs - num_jobs) * grid.schemes.size();
@@ -318,9 +387,9 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
 
   // --- Stage 2: cycle-accurate simulation. --------------------------------
   // One job = the (frontier) schemes of one (trace, machine) cell: the
-  // schemes share the job's TraceExperiment (workload generation and trace
-  // replay dominate point cost) behind SimEvaluator, and each scheme
-  // re-annotates from scratch, so evaluating any subset of schemes yields
+  // schemes share the job's TraceExperiment behind SimEvaluator, the jobs
+  // of a trace share its TraceArtefact and warm-state snapshots, and each
+  // scheme re-annotates from scratch, so evaluating any subset of schemes yields
   // the same bits as evaluating all of them — which is why a pruned run's
   // simulated frontier is byte-identical to the unpruned run's.
   auto run_job = [&](std::size_t t, std::size_t m) {
@@ -355,8 +424,9 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       for (const std::size_t s : missing) {
         request.schemes.push_back(grid.schemes[s]);
       }
+      request.trace = traces.get(t, &job_phases.trace_build);
       eval::EvalResponse response = sim_evaluator.evaluate(request);
-      experiments.fetch_add(response.experiments, std::memory_order_relaxed);
+      experiments.fetch_add(1, std::memory_order_relaxed);
       for (std::size_t i = 0; i < missing.size(); ++i) {
         const std::size_t s = missing[i];
         result.slot(t, m, s) = std::move(response.results[i]);
@@ -367,7 +437,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
           job_phases.cache_io += seconds_since(t0);
         }
       }
-      job_phases.trace_build += response.phases.trace_build_s;
       job_phases.annotate += response.phases.annotate_s;
       job_phases.warmup += response.phases.warmup_s;
       job_phases.simulate += response.phases.simulate_s;
@@ -376,6 +445,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
         scheme_simulate_s[label] += span;
       }
     }
+    traces.done(t);
     {
       std::lock_guard<std::mutex> lock(phases_mutex);
       phases += job_phases;
@@ -398,6 +468,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       while (opt.queue->acquire(&job)) {
         VCSTEER_CHECK_MSG(job < total_jobs, "leased job index out of range");
         jobs_pulled.fetch_add(1, std::memory_order_relaxed);
+        traces.expect(job / grid.machines.size(), 1);
         run_job(job / grid.machines.size(), job % grid.machines.size());
         opt.queue->complete(job);
       }
@@ -505,6 +576,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   result.cache_hits = cache_hits.load();
   result.cache_corrupt = cache_corrupt.load();
   result.experiments = experiments.load();
+  result.trace_builds = traces.builds();
   result.phases = phases;
   result.scheme_simulate_s = std::move(scheme_simulate_s);
   return result;

@@ -2,18 +2,20 @@
 //
 // A sweep is the cross product (traces x machines x schemes) every figure
 // bench iterates. run_sweep() shards it into one job per (trace, machine)
-// pair — the granularity at which TraceExperiment amortises workload
-// generation and trace materialisation — and runs the jobs on a ThreadPool.
-// Each job owns its TraceExperiment and every RNG it touches is seeded from
-// the profile itself, so results are bit-identical no matter how many
-// workers run or in which order jobs finish: `--jobs 8` reproduces
-// `--jobs 1` exactly. Results land in pre-sized slots indexed by grid
-// position, never by completion order.
+// pair — the granularity at which TraceExperiment amortises the simulated
+// core across schemes — and runs the jobs on a ThreadPool. The jobs of one
+// trace share its harness::TraceArtefact (workload, simulation points,
+// intervals, warm-state snapshots): the first job that needs it builds it,
+// and the sweep drops it after the trace's last job. The artefact is
+// immutable and every RNG a job touches is seeded from the profile itself,
+// so results are bit-identical no matter how many workers run or in which
+// order jobs finish: `--jobs 8` reproduces `--jobs 1` exactly. Results land
+// in pre-sized slots indexed by grid position, never by completion order.
 //
 // With a ResultCache attached, each point is probed before simulating and
-// stored after; a job whose points are all cached never constructs its
-// TraceExperiment, which is what makes warm re-runs of a full figure sweep
-// near-instant.
+// stored after; a job whose points are all cached neither builds its trace
+// nor constructs its TraceExperiment, which is what makes warm re-runs of
+// a full figure sweep near-instant.
 #pragma once
 
 #include <cstddef>
@@ -152,9 +154,14 @@ class SweepResult {
   /// a pre-fsync cache); each was deleted and the point re-simulated, so
   /// these also count in `simulated`.
   std::size_t cache_corrupt = 0;
-  /// TraceExperiments actually constructed (jobs with at least one cache
-  /// miss); 0 on a fully warm sweep.
+  /// TraceExperiments actually constructed: (trace, machine) cells the
+  /// simulator evaluated (jobs with at least one cache miss); 0 on a fully
+  /// warm sweep.
   std::size_t experiments = 0;
+  /// Traces (harness::TraceArtefact) built, by either stage: one per grid
+  /// trace that any job needed, except in queue mode, where a trace whose
+  /// leased jobs have all finished is rebuilt if another is leased later.
+  std::size_t trace_builds = 0;
   /// Jobs this run acquired from SweepOptions::queue (0 in static-shard
   /// mode): the per-worker work-stealing tally surfaced in --summary-json.
   std::size_t jobs_pulled = 0;

@@ -10,7 +10,6 @@
 #include "compiler/vc_pass.hpp"
 #include "mem/hierarchy.hpp"
 #include "sim/core.hpp"
-#include "sim/sim_context.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/trace.hpp"
 
@@ -24,12 +23,12 @@ double seconds_since(Clock::time_point t0) {
 }
 
 // Times workload generation from the member-init list so the span lands in
-// PhaseTimes::trace_build_s along with PinPoints selection and replay.
+// TraceArtefact::build_s along with PinPoints selection and replay.
 workload::GeneratedWorkload timed_generate(
-    const workload::WorkloadProfile& profile, PhaseTimes& phases) {
+    const workload::WorkloadProfile& profile, double& build_s) {
   const Clock::time_point t0 = Clock::now();
   workload::GeneratedWorkload wl = workload::generate(profile);
-  phases.trace_build_s += seconds_since(t0);
+  build_s += seconds_since(t0);
   return wl;
 }
 
@@ -198,12 +197,9 @@ std::unique_ptr<steer::SteeringPolicy> policy_for_scheme(
   return steer::make_policy(spec.scheme, machine);
 }
 
-TraceExperiment::TraceExperiment(const workload::WorkloadProfile& profile,
-                                 const MachineConfig& machine,
-                                 const SimBudget& budget)
-    : machine_(machine),
-      budget_(budget),
-      wl_(timed_generate(profile, phases_)) {
+TraceArtefact::TraceArtefact(const workload::WorkloadProfile& profile,
+                             const SimBudget& budget)
+    : wl_(timed_generate(profile, build_s_)) {
   const Clock::time_point t0 = Clock::now();
   workload::TraceSource trace(wl_);
   workload::PinPointsOptions popt;
@@ -226,15 +222,61 @@ TraceExperiment::TraceExperiment(const workload::WorkloadProfile& profile,
     warm_addrs_.push_back(std::move(warm));
     intervals_.push_back(trace.take(p.length));
   }
-  phases_.trace_build_s += seconds_since(t0);
+  build_s_ += seconds_since(t0);
 }
 
-// Defined here, where SimContext and MemoryHierarchy are complete types.
+// Defined here, where MemoryHierarchy is a complete type.
+TraceArtefact::~TraceArtefact() = default;
+
+const std::vector<mem::MemoryHierarchy>& TraceArtefact::warm_snapshots(
+    const MachineConfig& machine, double* warm_s) const {
+  const Geometry geometry = {
+      machine.l1d.size_bytes, machine.l1d.associativity,
+      machine.l1d.line_bytes, machine.l2.size_bytes,
+      machine.l2.associativity, machine.l2.line_bytes};
+  Snapshots* entry = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(snapshots_mutex_);
+    std::unique_ptr<Snapshots>& slot = snapshots_[geometry];
+    if (!slot) slot = std::make_unique<Snapshots>();
+    entry = slot.get();
+  }
+  *warm_s = 0;
+  std::call_once(entry->once, [&] {
+    const Clock::time_point t0 = Clock::now();
+    entry->points.reserve(warm_addrs_.size());
+    for (const std::vector<std::uint64_t>& addrs : warm_addrs_) {
+      mem::MemoryHierarchy& hierarchy = entry->points.emplace_back(machine);
+      for (const std::uint64_t addr : addrs) hierarchy.warm(addr);
+    }
+    *warm_s = seconds_since(t0);
+  });
+  return entry->points;
+}
+
+TraceExperiment::TraceExperiment(std::shared_ptr<const TraceArtefact> trace,
+                                 const MachineConfig& machine)
+    : trace_(std::move(trace)), machine_(machine) {}
+
+TraceExperiment::TraceExperiment(const workload::WorkloadProfile& profile,
+                                 const MachineConfig& machine,
+                                 const SimBudget& budget)
+    : TraceExperiment(std::make_shared<const TraceArtefact>(profile, budget),
+                      machine) {
+  phases_.trace_build_s = trace_->build_s();
+}
+
+// Defined here, where the core and MemoryHierarchy are complete types.
 TraceExperiment::~TraceExperiment() = default;
+
+prog::Program& TraceExperiment::program() {
+  if (!program_) program_.emplace(trace_->workload().program);
+  return *program_;
+}
 
 RunResult TraceExperiment::eval_spec(const SchemeSpec& spec) {
   const Clock::time_point t0 = Clock::now();
-  annotate_for_scheme(wl_.program, spec, machine_);
+  annotate_for_scheme(program(), spec, machine_);
   phases_.annotate_s += seconds_since(t0);
   const auto policy = policy_for_scheme(spec, machine_);
   return run_annotated(*policy, spec.label(machine_));
@@ -242,7 +284,7 @@ RunResult TraceExperiment::eval_spec(const SchemeSpec& spec) {
 
 RunResult TraceExperiment::eval_custom(steer::SteeringPolicy& policy,
                                        const std::string& label) {
-  wl_.program.clear_hints();
+  program().clear_hints();
   return run_annotated(policy, label);
 }
 
@@ -265,27 +307,24 @@ std::vector<RunResult> TraceExperiment::evaluate(
 
 RunResult TraceExperiment::run_annotated(steer::SteeringPolicy& policy,
                                          std::string label) {
-  // One arena for the experiment's lifetime: every scheme and simulation
-  // point reuses the same core, reset in place per run.
-  if (!ctx_) ctx_ = std::make_unique<sim::SimContext>(machine_, wl_.program);
-  if (warmed_.empty()) {
-    const Clock::time_point t0 = Clock::now();
-    warmed_.reserve(points_.size());
-    for (const std::vector<std::uint64_t>& addrs : warm_addrs_) {
-      mem::MemoryHierarchy& hierarchy = warmed_.emplace_back(machine_);
-      for (const std::uint64_t addr : addrs) hierarchy.warm(addr);
-    }
-    phases_.warmup_s += seconds_since(t0);
+  // One core for the experiment's lifetime: every scheme and simulation
+  // point reuses it, reset in place per run.
+  if (!core_) {
+    core_ = std::make_unique<sim::ClusteredCore>(machine_, program());
+    double warm_s = 0;
+    warmed_ = &trace_->warm_snapshots(machine_, &warm_s);
+    phases_.warmup_s += warm_s;
   }
-  sim::ClusteredCore& core = ctx_->core();
-  WeightedAccum acc(wl_.profile.name, std::move(label), points_.size(),
-                    machine_.num_clusters);
+  sim::ClusteredCore& core = *core_;
+  const std::vector<workload::SimPoint>& points = trace_->simpoints();
+  WeightedAccum acc(trace_->workload().profile.name, std::move(label),
+                    points.size(), machine_.num_clusters);
   sim::RunPhases run_phases;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const sim::SimStats stats =
-        core.run(intervals_[i], policy, warmed_[i], &run_phases);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const sim::SimStats stats = core.run(trace_->intervals()[i], policy,
+                                         (*warmed_)[i], &run_phases);
     // Harvest the run's observer sink before the next run() re-arms it.
-    acc.add_point(points_[i].weight, stats, core.observer(),
+    acc.add_point(points[i].weight, stats, core.observer(),
                   machine_.num_clusters);
   }
   phases_.warmup_s += run_phases.warmup_s;

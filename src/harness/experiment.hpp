@@ -6,9 +6,11 @@
 //   3. for each steering configuration: run the software pass it needs,
 //      instantiate its hardware policy, simulate every simulation point and
 //      aggregate the PinPoints-weighted metrics.
-// TraceExperiment caches the program and the materialised intervals so a
-// bench sweeping five schemes over forty traces only pays generation and
-// trace replay once per trace.
+// Steps 1 and 2, the interval replay and the functional cache warming are
+// machine-independent: a TraceArtefact holds them, built once per (profile,
+// budget) and shared by every machine of a sweep. A TraceExperiment is one
+// (trace, machine) cell on top of it: the annotated program copy and the
+// simulated core.
 #pragma once
 
 #include <array>
@@ -16,11 +18,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "sim/observer.hpp"
 #include "sim/stats.hpp"
 #include "steer/policy.hpp"
 #include "workload/generator.hpp"
@@ -30,7 +35,8 @@ namespace vcsteer::mem {
 class MemoryHierarchy;
 }
 namespace vcsteer::sim {
-class SimContext;
+template <Observer Obs>
+class ClusteredCoreT;
 }
 
 namespace vcsteer::harness {
@@ -147,17 +153,16 @@ struct PhaseTimes {
   }
 };
 
-class TraceExperiment {
+/// The machine-independent part of one trace, a function of (profile with
+/// its seed salt, budget) alone: the unannotated workload, the PinPoints
+/// simulation points, each point's materialised interval and the memory
+/// addresses preceding it. Immutable once built, so one artefact is shared
+/// by every TraceExperiment and evaluator of the trace, from any thread.
+class TraceArtefact {
  public:
-  TraceExperiment(const workload::WorkloadProfile& profile,
-                  const MachineConfig& machine, const SimBudget& budget);
-  ~TraceExperiment();
-
-  /// THE evaluation entry point: every request — built-in scheme or custom
-  /// policy — of one (trace, machine) cell in one call, each simulated on
-  /// its own over every simulation point. Results come back in request
-  /// order and do not depend on how requests are split across calls.
-  std::vector<RunResult> evaluate(std::span<const SchemeRequest> requests);
+  TraceArtefact(const workload::WorkloadProfile& profile,
+                const SimBudget& budget);
+  ~TraceArtefact();
 
   const workload::GeneratedWorkload& workload() const { return wl_; }
   const std::vector<workload::SimPoint>& simpoints() const { return points_; }
@@ -170,6 +175,66 @@ class TraceExperiment {
   /// its functional caches exactly like the simulator does.
   const std::vector<std::vector<std::uint64_t>>& warm_addrs() const {
     return warm_addrs_;
+  }
+  /// Wall-clock seconds construction took (generation, PinPoints, replay).
+  double build_s() const { return build_s_; }
+
+  /// Per simulation point, a hierarchy functionally warmed over that
+  /// point's warm_addrs(), with `machine`'s L1/L2 geometry. Built on the
+  /// first call per geometry (concurrent callers wait for it) and kept for
+  /// the artefact's lifetime; `warm_s` receives the seconds this call spent
+  /// building (0 when the snapshots already existed).
+  const std::vector<mem::MemoryHierarchy>& warm_snapshots(
+      const MachineConfig& machine, double* warm_s) const;
+
+ private:
+  /// Size, associativity and line size of L1D, then of L2: everything
+  /// functional warming reads (mem::MemoryHierarchy::warm_compatible).
+  using Geometry = std::array<std::uint32_t, 6>;
+  struct Snapshots {
+    std::once_flag once;
+    std::vector<mem::MemoryHierarchy> points;
+  };
+
+  workload::GeneratedWorkload wl_;
+  std::vector<workload::SimPoint> points_;
+  std::vector<std::vector<workload::TraceEntry>> intervals_;
+  std::vector<std::vector<std::uint64_t>> warm_addrs_;
+  double build_s_ = 0;
+  mutable std::mutex snapshots_mutex_;  ///< guards the map, not the entries.
+  mutable std::map<Geometry, std::unique_ptr<Snapshots>> snapshots_;
+};
+
+class TraceExperiment {
+ public:
+  /// One machine over a shared trace. Construction copies nothing: the
+  /// program copy the software passes annotate and the core are made on
+  /// the first evaluation.
+  TraceExperiment(std::shared_ptr<const TraceArtefact> trace,
+                  const MachineConfig& machine);
+  /// Builds a private TraceArtefact first, billed to trace_build_s.
+  TraceExperiment(const workload::WorkloadProfile& profile,
+                  const MachineConfig& machine, const SimBudget& budget);
+  ~TraceExperiment();
+
+  /// THE evaluation entry point: every request — built-in scheme or custom
+  /// policy — of one (trace, machine) cell in one call, each simulated on
+  /// its own over every simulation point. Results come back in request
+  /// order and do not depend on how requests are split across calls.
+  std::vector<RunResult> evaluate(std::span<const SchemeRequest> requests);
+
+  /// The unannotated workload (annotations go to this cell's own copy).
+  const workload::GeneratedWorkload& workload() const {
+    return trace_->workload();
+  }
+  const std::vector<workload::SimPoint>& simpoints() const {
+    return trace_->simpoints();
+  }
+  const std::vector<std::vector<workload::TraceEntry>>& intervals() const {
+    return trace_->intervals();
+  }
+  const std::vector<std::vector<std::uint64_t>>& warm_addrs() const {
+    return trace_->warm_addrs();
   }
   const MachineConfig& machine() const { return machine_; }
   /// Wall-clock spans accumulated over this experiment's lifetime
@@ -190,26 +255,24 @@ class TraceExperiment {
   RunResult eval_spec(const SchemeSpec& spec);
   RunResult eval_custom(steer::SteeringPolicy& policy,
                         const std::string& label);
+  /// program_, copied from the trace on first use.
+  prog::Program& program();
 
+  std::shared_ptr<const TraceArtefact> trace_;
   MachineConfig machine_;
-  SimBudget budget_;
   PhaseTimes phases_;
   std::map<std::string, double> scheme_simulate_s_;
-  workload::GeneratedWorkload wl_;
-  /// Reusable simulation arena (sim/sim_context.hpp): one core whose pools,
-  /// value table and cache arrays persist across every run() of this
-  /// experiment, reset in place instead of reconstructed. Lazily built on
-  /// the first run so cache-served experiments never allocate it.
-  std::unique_ptr<sim::SimContext> ctx_;
-  std::vector<workload::SimPoint> points_;
-  std::vector<std::vector<workload::TraceEntry>> intervals_;
-  /// Per simulation point: addresses of all memory operations preceding it
-  /// in the trace, used to functionally warm the cache hierarchy.
-  std::vector<std::vector<std::uint64_t>> warm_addrs_;
-  /// Per simulation point: a hierarchy functionally warmed over that
-  /// point's warm_addrs_, built once on the first simulated request. Every
-  /// run adopts its point's snapshot instead of replaying the addresses.
-  std::vector<mem::MemoryHierarchy> warmed_;
+  /// This cell's copy of the program, annotated per request.
+  std::optional<prog::Program> program_;
+  /// One core over *program_ whose pools, value table and cache arrays
+  /// persist across every run of this experiment, reset in place instead
+  /// of reconstructed. Built on the first run, so cache-served experiments
+  /// never allocate it.
+  std::unique_ptr<sim::ClusteredCoreT<sim::StatsObserver>> core_;
+  /// The trace's warm-state snapshots for this machine's cache geometry,
+  /// fetched on the first run: every run adopts its point's snapshot
+  /// instead of replaying the addresses.
+  const std::vector<mem::MemoryHierarchy>* warmed_ = nullptr;
 };
 
 /// Per-pair compile-time communication-cost matrix for `n` placement

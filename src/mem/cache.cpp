@@ -16,22 +16,28 @@ Cache::Cache(const CacheConfig& config)
   line_shift_ = static_cast<std::uint32_t>(
       std::countr_zero(static_cast<std::uint64_t>(config_.line_bytes)));
   set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
-  ways_.assign(num_sets_ * config_.associativity, Way{});
+  tags_.assign(num_sets_ * config_.associativity, kEmpty);
 }
 
 bool Cache::contains(std::uint64_t addr) const {
-  const std::uint64_t set = set_of(addr);
   const std::uint64_t tag = tag_of(addr);
-  const Way* base = &ways_[set * config_.associativity];
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
-  }
-  return false;
+  const std::uint64_t* set = &tags_[set_of(addr) * config_.associativity];
+  return std::find(set, set + config_.associativity, tag) !=
+         set + config_.associativity;
 }
 
 void Cache::reset() {
-  for (Way& w : ways_) w = Way{};
-  tick_ = hits_ = misses_ = 0;
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
+  hits_ = misses_ = 0;
+}
+
+void Cache::adopt(const Cache& other) {
+  VCSTEER_CHECK(other.tags_.size() == tags_.size() &&
+                other.line_shift_ == line_shift_ &&
+                other.set_shift_ == set_shift_);
+  std::copy(other.tags_.begin(), other.tags_.end(), tags_.begin());
+  hits_ = other.hits_;
+  misses_ = other.misses_;
 }
 
 }  // namespace vcsteer::mem

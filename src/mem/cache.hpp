@@ -3,8 +3,17 @@
 // Latency-only model: an access returns hit/miss and fills on miss; the
 // hierarchy turns that into cycles. Geometry comes from CacheConfig
 // (Table 2: 32KB/4-way L1D, 2MB/16-way unified L2, 64B lines).
+//
+// Each set keeps its tags in recency order, most recent first, with kEmpty
+// marking a way never filled since the last reset. A hit moves its tag to
+// the front; a miss shifts the set down one way, dropping the last tag
+// (the LRU line, or an empty way while the set is not yet full), and puts
+// the new tag in front. The resident set after every access is exactly
+// true LRU's, so hits and misses are too, with 8 bytes of state per way
+// and no recency stamps.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -26,16 +35,18 @@ class Cache {
 
   void reset();
 
+  /// Takes over `other`'s contents and counters in place (same geometry;
+  /// the tag array is copied into the existing storage).
+  void adopt(const Cache& other);
+
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   const CacheConfig& config() const { return config_; }
 
  private:
-  struct Way {
-    std::uint64_t tag = ~0ULL;
-    std::uint64_t lru = 0;  ///< larger = more recently used.
-    bool valid = false;
-  };
+  /// Tag of a way that holds no line. Real tags are addresses shifted right
+  /// by at least the line offset, so they never reach it.
+  static constexpr std::uint64_t kEmpty = ~0ULL;
 
   // Geometry is power-of-two (checked at construction), so the per-access
   // line/set decomposition is two shifts, not two integer divisions.
@@ -50,36 +61,26 @@ class Cache {
   std::uint64_t num_sets_;
   std::uint32_t line_shift_ = 0;
   std::uint32_t set_shift_ = 0;
-  std::vector<Way> ways_;  ///< num_sets * associativity, set-major.
-  std::uint64_t tick_ = 0;
+  /// num_sets * associativity tags, set-major, each set most recent first.
+  std::vector<std::uint64_t> tags_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
 
 inline bool Cache::access(std::uint64_t addr) {
-  const std::uint64_t set = set_of(addr);
   const std::uint64_t tag = tag_of(addr);
-  Way* base = &ways_[set * config_.associativity];
-  ++tick_;
-  Way* victim = base;
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = tick_;
-      ++hits_;
-      return true;
-    }
-    if (!way.valid) {
-      victim = &way;  // prefer invalid ways
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
+  std::uint64_t* set = &tags_[set_of(addr) * config_.associativity];
+  std::uint64_t* last = set + config_.associativity - 1;
+  std::uint64_t* way = std::find(set, last, tag);
+  const bool hit = *way == tag;
+  if (hit) {
+    ++hits_;
+  } else {
+    ++misses_;  // `way` is the last way: the LRU line, or an empty way
   }
-  ++misses_;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
-  return false;
+  std::copy_backward(set, way, way + 1);
+  *set = tag;
+  return hit;
 }
 
 }  // namespace vcsteer::mem

@@ -10,6 +10,10 @@ MemoryHierarchy::MemoryHierarchy(const MachineConfig& config)
 void MemoryHierarchy::reset() {
   l1_.reset();
   l2_.reset();
+  reset_ports_and_stats();
+}
+
+void MemoryHierarchy::reset_ports_and_stats() {
   stats_ = HierarchyStats{};
   port_cycle_ = 0;
   reads_used_ = 0;
@@ -35,8 +39,9 @@ bool MemoryHierarchy::warm_compatible(const MemoryHierarchy& other) const {
 
 void MemoryHierarchy::adopt_warm_state(const MemoryHierarchy& other) {
   VCSTEER_CHECK(warm_compatible(other));
-  l1_ = other.l1_;
-  l2_ = other.l2_;
+  l1_.adopt(other.l1_);
+  l2_.adopt(other.l2_);
+  reset_ports_and_stats();
 }
 
 }  // namespace vcsteer::mem

@@ -49,17 +49,21 @@ class MemoryHierarchy {
   /// produce here (warming is deterministic and geometry-only).
   bool warm_compatible(const MemoryHierarchy& other) const;
 
-  /// Adopt `other`'s cache contents in place of replaying warm() over the
-  /// same address stream (a simulation point's warm-state snapshot). The
-  /// caller guarantees warm_compatible(other) and that this hierarchy is
-  /// freshly reset; port state and stats are untouched, exactly as after
-  /// local warming.
+  /// reset(), then adopt `other`'s cache contents in place of replaying
+  /// warm() over the same address stream (a simulation point's warm-state
+  /// snapshot): the state is exactly that of a reset hierarchy warmed
+  /// locally. Requires warm_compatible(other). The cache arrays are
+  /// overwritten in place, never zeroed first.
   void adopt_warm_state(const MemoryHierarchy& other);
 
   const HierarchyStats& stats() const { return stats_; }
+  /// Empties both caches and clears the port state and stats.
   void reset();
 
  private:
+  /// reset() minus the caches: port state and stats only.
+  void reset_ports_and_stats();
+
   std::uint32_t lookup_latency(std::uint64_t addr);
   std::uint32_t arbitrate(std::uint64_t cycle, bool write);
 

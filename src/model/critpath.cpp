@@ -357,9 +357,15 @@ WalkConfig walk_config(const MachineConfig& machine, steer::Scheme scheme) {
     }
   }
   w.link_latency = machine.interconnect.link_latency;
-  w.copies_per_link_cycle = machine.interconnect.kind == Topology::kIdeal
-                                ? WalkConfig::kUnlimited
-                                : machine.interconnect.copies_per_link_cycle;
+  // The copy select books at most issue_width_copy copies per source
+  // cluster and cycle, so a per-pair link of at least that width never
+  // defers a copy: it binds only below the copy select's width.
+  w.copies_per_link_cycle =
+      machine.interconnect.kind == Topology::kIdeal ||
+              machine.interconnect.copies_per_link_cycle >=
+                  machine.issue_width_copy
+          ? WalkConfig::kUnlimited
+          : machine.interconnect.copies_per_link_cycle;
   w.scheme =
       scheme == steer::Scheme::kParallelOp ? steer::Scheme::kOp : scheme;
   return w;

@@ -70,7 +70,8 @@
 // equal WalkConfigs, the same annotated hints and the same memory
 // latencies get the same estimate. Ideal, bus and crossbar fabrics (and a
 // 2-cluster ring) are all one hop per pair, link bandwidth only binds off
-// the ideal fabric, and OP-parallel steers as OP, so many machines of a
+// the ideal fabric and below the copy select's width, and OP-parallel
+// steers as OP, so many machines of a
 // search collapse onto one WalkConfig; eval::ModelEvaluator walks each
 // distinct one once.
 //
@@ -132,7 +133,8 @@ struct WalkConfig {
   std::vector<std::uint32_t> hops;
   std::uint32_t link_latency = 0;
   /// Copies one link accepts per cycle; kUnlimited on the ideal fabric and
-  /// for ~0u, where the walk books no link slots.
+  /// at or above issue_width_copy (including ~0u), where no link can bind
+  /// and the walk books no link slots.
   std::uint32_t copies_per_link_cycle = 0;
   /// Steering class: kParallelOp is folded into kOp (the walk's OP
   /// heuristic serves both, and custom policies too).

@@ -89,6 +89,7 @@ class ClusteredCoreT : public steer::SteerView {
                std::span<const std::uint64_t> warm_addrs = {},
                RunPhases* phases = nullptr) {
     return run_warmed(trace, policy, phases, [&] {
+      memory_.reset();
       for (const std::uint64_t addr : warm_addrs) memory_.warm(addr);
     });
   }
@@ -172,8 +173,8 @@ class ClusteredCoreT : public steer::SteerView {
     }
   }();
 
-  /// The body of both run() forms: reset the core and the policy, warm the
-  /// cache hierarchy through `warm`, arm the run, step until the segment
+  /// The body of both run() forms: reset the core and the policy, reset
+  /// and warm the cache hierarchy through `warm`, arm the run, step until the segment
   /// has fully fetched, dispatched and retired, and finalize the stats.
   template <typename WarmFn>
   SimStats run_warmed(std::span<const workload::TraceEntry> trace,
@@ -322,8 +323,9 @@ class ClusteredCoreT : public steer::SteerView {
     state_.cycle = target;
   }
 
+  /// Everything but the memory hierarchy, which each run() form resets
+  /// through its warm step.
   void reset() {
-    memory_.reset();
     state_.reset();
     frontend_.reset();
     commit_.reset();

@@ -84,7 +84,7 @@ TEST(Evaluator, SimBackendIsBitIdenticalToDirectPath) {
   EvalRequest req = smoke_request();
   SimEvaluator sim;
   const EvalResponse resp = sim.evaluate(req);
-  EXPECT_EQ(resp.experiments, 1u);
+  EXPECT_EQ(resp.trace_builds, 1u);
 
   harness::TraceExperiment direct(req.profile, req.machine, req.budget);
   const std::vector<harness::RunResult> expect =
@@ -110,14 +110,14 @@ TEST(Evaluator, ModelBackendEstimatesAndMemoisesTraces) {
     EXPECT_GT(r.committed_uops, 0u);
     EXPECT_GT(r.cycles, 0u);
   }
-  EXPECT_EQ(first.experiments, 1u);
+  EXPECT_EQ(first.trace_builds, 1u);
 
   // Same trace under a different machine: the materialised trace is reused
   // (machine only shapes the estimate, not the trace).
   EvalRequest req2 = smoke_request();
   req2.machine = MachineConfig::four_cluster();
   const EvalResponse second = model.evaluate(req2);
-  EXPECT_EQ(second.experiments, 0u);
+  EXPECT_EQ(second.trace_builds, 0u);
   // And the estimates are deterministic.
   const EvalResponse again = model.evaluate(req);
   ASSERT_EQ(again.results.size(), first.results.size());
@@ -220,12 +220,13 @@ std::vector<harness::SchemeRequest> memo_schemes() {
           })};
 }
 
-// Distinct walks on the memo grid: 5 walk configs (ideal/bus/crossbar and
-// the ring, each at the two link settings, with the ideal fabric's
-// bandwidth folded away) x 4 steering classes (OP = OP-parallel = MOD3),
-// plus OB and VC on the two topology-aware rings, plus 4 on the second
-// L2 geometry, plus 4 on each 2-wide copy-select machine.
-constexpr std::size_t kMemoGridWalks = 5 * 4 + 2 * 2 + 4 + 2 * 4;
+// Distinct walks on the memo grid: 4 walk configs (one hop per pair for
+// ideal/bus/crossbar, ring hops, each at the two link latencies, with link
+// bandwidth folded away on the ideal fabric and behind the 1-wide copy
+// select) x 4 steering classes (OP = OP-parallel = MOD3), plus OB and VC
+// on the two topology-aware rings, plus 4 on the second L2 geometry, plus
+// 4 on each 2-wide copy-select machine.
+constexpr std::size_t kMemoGridWalks = 4 * 4 + 2 * 2 + 4 + 2 * 4;
 
 // The walk memo is invisible: one evaluator serving the whole grid returns
 // exactly what a fresh evaluator returns for each request, while walking
@@ -294,6 +295,66 @@ TEST(PrunedSweep, SharedWalkMemoIsThreadSafe) {
   EXPECT_EQ(walked[0], kMemoGridWalks);
   EXPECT_EQ(walked[1], walked[0]);
   EXPECT_EQ(reused[1], reused[0]);
+}
+
+// The sweep builds each trace once and shares it across machines, cache
+// geometries and both stages: over 2 traces x 4 machines of two L2
+// geometries, pruned and unpruned, at jobs 1 and 4, every simulated slot
+// encode_result-equals a fresh per-cell TraceExperiment, every model slot
+// a fresh ModelEvaluator, and the sweep builds exactly one trace per grid
+// trace.
+TEST(SharedTraces, SweepBuildsEachTraceOnceAndMatchesFreshCells) {
+  exec::SweepGrid grid;
+  const auto smoke = workload::smoke_profiles();
+  grid.profiles = {smoke[0], smoke[1]};
+  MachineConfig ring = MachineConfig::four_cluster();
+  ring.interconnect.kind = Topology::kRing;
+  ring.interconnect.copies_per_link_cycle = 1;
+  grid.machines = {MachineConfig::two_cluster(), ring};
+  for (std::size_t m = 0; m < 2; ++m) {
+    MachineConfig small_l2 = grid.machines[m];
+    small_l2.l2 = CacheConfig{32 * 1024, 4, 64, 13};
+    grid.machines.push_back(small_l2);
+  }
+  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
+                  harness::SchemeSpec{steer::Scheme::kVc, 0}};
+  grid.budget = {60'000, 15'000, 2};
+
+  std::vector<std::string> sim_expect;
+  std::vector<std::string> model_expect;
+  for (const workload::WorkloadProfile& profile : grid.profiles) {
+    for (const MachineConfig& machine : grid.machines) {
+      harness::TraceExperiment cell(profile, machine, grid.budget);
+      for (const harness::RunResult& r : cell.evaluate(grid.schemes)) {
+        sim_expect.push_back(exec::encode_result(r));
+      }
+      const EvalRequest request{profile, machine, grid.budget, grid.schemes};
+      for (const harness::RunResult& r :
+           ModelEvaluator().evaluate(request).results) {
+        model_expect.push_back(exec::encode_result(r));
+      }
+    }
+  }
+  for (const std::size_t top_k : {0u, 3u}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "top_k " << top_k << " jobs " << jobs);
+      exec::SweepOptions opt;
+      opt.jobs = jobs;
+      opt.prune_top_k = top_k;
+      const exec::SweepResult sweep = exec::run_sweep(grid, opt);
+      EXPECT_EQ(sweep.trace_builds, grid.profiles.size());
+      std::size_t simulated = 0;
+      for (std::size_t i = 0; i < sweep.num_points(); ++i) {
+        const harness::RunResult& r = sweep.points()[i];
+        if (r.source == "sim") ++simulated;
+        EXPECT_EQ(exec::encode_result(r),
+                  r.source == "sim" ? sim_expect[i] : model_expect[i])
+            << "point " << i;
+      }
+      EXPECT_EQ(simulated, top_k == 0 ? sweep.num_points()
+                                      : top_k * grid.profiles.size());
+    }
+  }
 }
 
 exec::SweepGrid small_grid() {

@@ -418,6 +418,41 @@ TEST(ResultCache, EncodeDecodeRoundTripsAndRejectsTruncation) {
   EXPECT_FALSE(decode_result("", &back));
 }
 
+// Regression: num_clusters was narrowed to 32 bits unchecked, so 9 decoded
+// as a hit whose readers then indexed past the kMaxClusters-sized
+// per-cluster arrays, and 2^32 + 1 silently became 1.
+TEST(ResultCache, OutOfRangeClusterCountIsCorrupt) {
+  harness::RunResult r;
+  r.trace = "t";
+  r.scheme = "OP";
+  r.ipc = 1.5;
+  r.num_clusters = sim::kMaxClusters;
+  const std::string text = encode_result(r);
+  const std::string field =
+      "num_clusters=" + std::to_string(sim::kMaxClusters) + "\n";
+  ASSERT_NE(text.find(field), std::string::npos);
+  harness::RunResult back;
+  ASSERT_TRUE(decode_result(text, &back));
+  EXPECT_EQ(back.num_clusters, sim::kMaxClusters);
+
+  ScratchDir dir;
+  const std::string cache_dir = dir.path() + "/cache";
+  ResultCache cache(cache_dir);
+  const std::string key = "k1=v1\n";
+  for (const std::string& bad :
+       {std::to_string(sim::kMaxClusters + 1), std::string("4294967297")}) {
+    SCOPED_TRACE(bad);
+    std::string garbled = text;
+    garbled.replace(garbled.find(field), field.size(),
+                    "num_clusters=" + bad + "\n");
+    EXPECT_FALSE(decode_result(garbled, &back));
+
+    cache.store(key, r);
+    garble_field(only_entry(cache_dir), "num_clusters", bad);
+    EXPECT_EQ(cache.lookup(key, &back), CacheLookup::kCorrupt);
+  }
+}
+
 TEST(ResultCache, KeyMismatchIsAMiss) {
   ScratchDir dir;
   ResultCache cache(dir.path() + "/cache");
@@ -816,6 +851,8 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.simulated = 0;
   s.cache_hits = 25;
   s.uops = 1500000;
+  s.trace_builds = 3;
+  s.traces = 3;
   s.schemes["MOD3"] = {750000, 0.25};
   s.schemes["VC-STEER"] = {750000, 0.5};
   s.launch_workers = 2;
@@ -841,6 +878,9 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":0,"
                       "\"cache_hits\":25,\"skipped\":0,"
                       "\"corrupt_recovered\":0,\"uops\":1500000}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"events\":{\"experiments\":0,\"trace_builds\":3,"
+                      "\"traces\":3,\"cycles\":0}"),
             std::string::npos);
   // Per-scheme attribution: each label carries its own uop count and
   // simulate span so perf tooling stops dividing by one shared wall clock.

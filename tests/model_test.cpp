@@ -356,16 +356,18 @@ std::size_t distinct_walk_configs(const std::vector<MachineConfig>& machines,
 
 // Pins the equivalence classes the walk memo merges on the search grid:
 // ideal, bus and crossbar (and, at 2 clusters, the ring) are one hop per
-// pair, and the ideal fabric ignores link bandwidth, so the 8 machines
-// give 3 distinct walks at 2 clusters and 5 at 4 clusters; OP-parallel
-// steers as OP. kPinned was produced by a walk that read MachineConfig
+// pair, and link bandwidth binds neither on the ideal fabric nor behind
+// the search machines' 1-wide copy select at 1 copy per link-cycle, so the
+// 8 machines give 2 distinct walks at 2 clusters (link latency 1 or 2) and
+// 4 at 4 clusters (that times one hop or ring hops); OP-parallel steers as
+// OP. kPinned was produced by a walk that read MachineConfig
 // directly, so every pair of rows that shares a WalkConfig and the
 // annotated hints must carry identical pinned estimates.
 TEST(CritPath, SearchGridWalkConfigClasses) {
   for (const steer::Scheme scheme :
        {steer::Scheme::kOp, steer::Scheme::kOb, steer::Scheme::kVc}) {
-    EXPECT_EQ(distinct_walk_configs(search_machines(2), scheme), 3u);
-    EXPECT_EQ(distinct_walk_configs(search_machines(4), scheme), 5u);
+    EXPECT_EQ(distinct_walk_configs(search_machines(2), scheme), 2u);
+    EXPECT_EQ(distinct_walk_configs(search_machines(4), scheme), 4u);
   }
   for (const std::uint32_t clusters : {2u, 4u}) {
     for (const MachineConfig& m : search_machines(clusters)) {
@@ -452,6 +454,12 @@ TEST(CritPath, EveryMachineFieldChangesTheWalkConfigOrNotTheEstimate) {
       [](MachineConfig& m) { m.interconnect.link_latency += 1; },
       [](MachineConfig& m) { m.interconnect.copies_per_link_cycle = 2; },
       [](MachineConfig& m) { m.interconnect.copies_per_link_cycle = ~0u; },
+      // A 2-wide copy select at 1 copy per link-cycle: off the ideal fabric
+      // the link now binds, so the walk must keep its bandwidth.
+      [](MachineConfig& m) {
+        m.issue_width_copy = 2;
+        m.interconnect.copies_per_link_cycle = 1;
+      },
       [](MachineConfig& m) { m.steer.topology_aware = !m.steer.topology_aware; },
       [](MachineConfig& m) { m.steer.contention_weight *= 4; },
       [](MachineConfig& m) { m.l1d.size_bytes /= 4; },
@@ -511,6 +519,60 @@ TEST(CritPath, EveryMachineFieldChangesTheWalkConfigOrNotTheEstimate) {
   }
   EXPECT_GT(changed, 0u);
   EXPECT_GT(same, 0u);
+}
+
+// The link-bandwidth fold is exact: behind a copy select of width W a
+// per-pair link of W or more copies per cycle never defers a copy, so the
+// folded walk (no link slots booked) estimates exactly what a walk booking
+// that link does. Below W the fold must not apply, and there the link
+// binds: the estimate moves on some point.
+TEST(CritPath, LinkBandwidthFoldIsExact) {
+  const harness::TraceExperiment& exp = shared_trace();
+  std::size_t binding = 0;
+  for (const Topology topo : {Topology::kBus, Topology::kRing}) {
+    for (const steer::Scheme scheme : {steer::Scheme::kOp, steer::Scheme::kVc}) {
+      MachineConfig m = MachineConfig::four_cluster();
+      m.interconnect.kind = topo;
+      m.interconnect.link_latency = 2;
+      prog::Program program = exp.workload().program;
+      harness::annotate_for_scheme(program, {scheme, 0}, m);
+      std::vector<std::vector<std::uint32_t>> extra;
+      for (std::size_t p = 0; p < exp.intervals().size(); ++p) {
+        extra.push_back(memory_latencies(program, exp.intervals()[p],
+                                         exp.warm_addrs()[p], m));
+      }
+      auto walk = [&](const WalkConfig& config, std::size_t p) {
+        return estimate_interval(program, exp.intervals()[p], extra[p],
+                                 config);
+      };
+      for (const std::uint32_t width : {1u, 2u}) {
+        m.issue_width_copy = width;
+        for (const std::uint32_t bandwidth : {width, width + 1}) {
+          SCOPED_TRACE(testing::Message()
+                       << topology_name(topo) << " " << steer::scheme_name(scheme)
+                       << " copy select " << width << " link " << bandwidth);
+          m.interconnect.copies_per_link_cycle = bandwidth;
+          const WalkConfig folded = walk_config(m, scheme);
+          ASSERT_EQ(folded.copies_per_link_cycle, WalkConfig::kUnlimited);
+          WalkConfig booked = folded;
+          booked.copies_per_link_cycle = bandwidth;
+          for (std::size_t p = 0; p < exp.intervals().size(); ++p) {
+            EXPECT_EQ(walk(booked, p), walk(folded, p)) << "point " << p;
+          }
+        }
+      }
+      m.issue_width_copy = 2;
+      m.interconnect.copies_per_link_cycle = 1;
+      const WalkConfig narrow = walk_config(m, scheme);
+      ASSERT_EQ(narrow.copies_per_link_cycle, 1u);
+      WalkConfig unlimited = narrow;
+      unlimited.copies_per_link_cycle = WalkConfig::kUnlimited;
+      for (std::size_t p = 0; p < exp.intervals().size(); ++p) {
+        if (!(walk(narrow, p) == walk(unlimited, p))) ++binding;
+      }
+    }
+  }
+  EXPECT_GT(binding, 0u);
 }
 
 // --- Differential tests of the walk's constraint structures (pools.hpp) ---

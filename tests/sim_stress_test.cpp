@@ -2,10 +2,11 @@
 // shapes (1-entry queues, width 1, the kMaxClusters ceiling) that force the
 // slot pools to wrap through their free lists every few cycles and push
 // every waiter-list edge path (copy wakeups, dual-source waits, copy-queue
-// back-pressure), plus bit-identity of the reusable SimContext arena and of
-// the shared warm-state snapshot: runs served by one reused context must
-// match fresh-context runs, and runs that adopt a simulation point's warmed
-// cache hierarchy must match fresh cores that replay the warm addresses.
+// back-pressure), plus bit-identity of the reused core and of the shared
+// warm-state snapshot: runs served by one experiment's reused
+// ClusteredCore must match fresh-experiment runs, and runs that adopt a
+// simulation point's warmed cache hierarchy must match fresh cores that
+// replay the warm addresses.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +16,6 @@
 #include "harness/experiment.hpp"
 #include "program/program.hpp"
 #include "sim/core.hpp"
-#include "sim/sim_context.hpp"
 #include "steer/simple_policies.hpp"
 #include "workload/profiles.hpp"
 #include "workload/trace.hpp"
@@ -146,7 +146,7 @@ TEST(SimStress, TinyCopyQueueBackpressure) {
   EXPECT_GT(stats.copyq_stalls, 0u);
 }
 
-// ----- SimContext arena bit-identity ---------------------------------------
+// ----- reused-core bit-identity --------------------------------------------
 
 void expect_results_equal(const harness::RunResult& a,
                           const harness::RunResult& b) {
@@ -197,7 +197,7 @@ TEST(SimContextReuse, RepeatRunMatchesFreshContext) {
 // Interleaving schemes through one arena must not leak state between them:
 // OP after VC reproduces OP-before-VC, including on a contention-modeled
 // fabric with topology-aware steering (congestion EWMAs, link claims and
-// the per-pair cost matrices all reset with the context).
+// the per-pair cost matrices all reset with the core).
 TEST(SimContextReuse, SchemeInterleavingLeaksNoState) {
   const workload::WorkloadProfile& profile =
       *workload::find_profile("186.crafty");
