@@ -11,9 +11,11 @@
 // sees a fraction of a percent of the grid while every point still carries
 // an estimate (tagged source == "model" in the JSON output).
 //
-// The --summary-json's "model" section reports the estimated/pruned
-// counters and the model-vs-sim rank agreement over the simulated
-// frontier; scripts/ci_gates.sh's model gate asserts on them.
+// Three tables: every config ranked by mean IPC (simulated or estimated),
+// the simulated frontier alone ranked by simulated mean IPC, and the best
+// machine per scheme. The --summary-json's "model" section reports the
+// estimated/pruned counters and the model-vs-sim rank agreement over the
+// simulated frontier; scripts/ci_gates.sh's model gate asserts on them.
 //
 // Usage: autotune_search [--smoke] [--jobs N] [--prune-model K]
 //                        [--cache-dir D] [--json F] [--summary-json F]
@@ -31,10 +33,9 @@ int main(int argc, char** argv) {
   using namespace vcsteer;
   bench::Options opt = bench::parse_args(argc, argv, "autotune_search");
   // This bench is the pruned-search consumer: default to a top-8 frontier
-  // unless the caller picked their own K or a distributed mode (where
+  // unless the caller picked their own K or the sweep service (where
   // pruning cannot run — the frontier needs the whole grid's estimates).
-  if (opt.prune_model == 0 && opt.shard_count == 1 && opt.launch < 2 &&
-      opt.connect.empty() && opt.serve.empty()) {
+  if (opt.prune_model == 0 && opt.connect.empty() && opt.serve.empty()) {
     opt.prune_model = 8;
   }
 
@@ -99,7 +100,6 @@ int main(int argc, char** argv) {
 
   bench::Output out(opt);
   const exec::SweepResult sweep = out.run(grid);
-  if (!opt.tables_enabled()) return out.finish();
 
   // Rank every (machine, scheme) configuration by mean IPC across traces.
   // Frontier configs carry simulated numbers; everything else carries the
@@ -152,6 +152,38 @@ int main(int argc, char** argv) {
         .add(sweep.at(0, m, s).source);
   }
   out.add(top);
+
+  // The simulated frontier on its own, ranked by simulated mean IPC: model
+  // estimates can outrank every simulated config in the table above (the
+  // model's top is flat), which would hide what the search actually found.
+  std::vector<std::size_t> simulated;
+  for (const std::size_t c : order) {
+    if (sweep.at(0, c / num_schemes, c % num_schemes).source == "sim") {
+      simulated.push_back(c);
+    }
+  }
+  stats::Table frontier("Simulated frontier by mean IPC (" +
+                        std::to_string(simulated.size()) + " of " +
+                        std::to_string(num_configs) +
+                        " configs simulated)");
+  frontier.set_columns({"rank", "clusters", "topology", "iq", "link",
+                        "copies/cy", "width", "scheme", "mean IPC"});
+  for (std::size_t r = 0; r < std::min(show, simulated.size()); ++r) {
+    const std::size_t m = simulated[r] / num_schemes;
+    const std::size_t s = simulated[r] % num_schemes;
+    const AxisPoint& a = axis[m];
+    frontier.row()
+        .add(std::uint64_t{r + 1})
+        .add(std::uint64_t{a.clusters})
+        .add(std::string(topology_name(a.topo)))
+        .add(std::uint64_t{a.iq})
+        .add(std::uint64_t{a.link})
+        .add(bw_text(a.bw))
+        .add(std::uint64_t{a.width})
+        .add(grid.schemes[s].label(grid.machines[m]))
+        .add(score[simulated[r]], 4);
+  }
+  out.add(frontier);
 
   // Per-scheme winner: the best machine for each steering scheme, so the
   // table answers "what fabric does each scheme want" at a glance.

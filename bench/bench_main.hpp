@@ -3,37 +3,29 @@
 // Every bench used to hand-roll the same flag loop; they now share one
 // parser and one output path:
 //
-//   bench [--jobs N] [--smoke|--quick] [--seed S] [--shard I/N] [--launch N]
+//   bench [--jobs N] [--smoke|--quick] [--seed S]
 //         [--connect ADDR] [--serve ADDR] [--client-id ID]
 //         [--cache-dir DIR] [--json FILE] [--summary-json FILE] [--csv]
 //
-//   --jobs N       worker threads for the sweep (default: all cores).
-//                  Results are bit-identical for every N (see src/exec/).
+//   --jobs N       worker threads for the sweep (default: all cores; 0 or a
+//                  negative value runs serially). Results are bit-identical
+//                  for every N (see src/exec/).
 //   --smoke        smoke budget + reduced trace set (alias: --quick).
 //   --seed S       extra salt mixed into every workload seed.
-//   --shard I/N    run only this process's 1/N of the job list (0 <= I < N).
-//                  Launch N processes sharing --cache-dir to split a sweep
-//                  across them, then one unsharded run to assemble the
-//                  tables from the warm cache. Sharded runs skip the
-//                  derived tables (their grid is incomplete by design).
-//   --launch N     own that whole lifecycle instead: re-exec this binary as
-//                  N shard workers (--shard i/N --cache-dir ...), stream
-//                  their progress, retry a crashed/killed shard (bounded),
-//                  then run the in-process assembly pass — which is a pure
-//                  cache read when every shard succeeded. --jobs becomes
-//                  the total thread budget, split across the workers.
 //   --connect ADDR lease jobs from a vcsteer-sweepd at ADDR (unix:/path or
-//                  [tcp:]host:port) instead of static sharding: this process
-//                  pulls (trace, machine) jobs until the sweep drains, then
-//                  assembles the full result set from the server's store, so
-//                  every client writes byte-identical --json output. Results
-//                  live server-side: no --cache-dir, --shard, or --launch.
+//                  [tcp:]host:port): this process pulls (trace, machine)
+//                  jobs until the sweep drains, then assembles the full
+//                  result set from the server's store, so every client
+//                  writes byte-identical --json output. Results live
+//                  server-side: no --cache-dir. This is the one way to
+//                  spread a sweep over processes or hosts; a worker that
+//                  dies has its lease expire back onto the queue.
 //   --serve ADDR   own the service lifecycle: spawn a vcsteer-sweepd sibling
-//                  binary on ADDR (over --cache-dir), optionally spawn
-//                  --launch N re-exec'd `--connect` workers, pull jobs
-//                  itself, and shut the daemon down at the end. The summary
-//                  JSON's `net.workers` carries the per-worker jobs-pulled
-//                  tallies from the server.
+//                  binary on ADDR (over --cache-dir), pull jobs itself
+//                  alongside any --connect workers, and shut the daemon
+//                  down at the end. The summary JSON's `net.workers`
+//                  carries the per-worker jobs-pulled tallies from the
+//                  server.
 //   --client-id ID this worker's name in lease stats (default: wpid<pid>).
 //   --cache-dir D  on-disk result cache; warm re-runs skip simulation.
 //   --progress     per-job heartbeat lines on stderr (done/total, elapsed,
@@ -48,11 +40,11 @@
 //                  frontier is byte-identical to an unpruned run; the rest of
 //                  the grid carries model estimates tagged source == "model".
 //                  Needs the whole grid in one process, so it cannot be
-//                  combined with --shard/--launch/--connect/--serve.
+//                  combined with --connect/--serve.
 //   --json FILE    write raw results + all tables as one JSON document.
 //   --summary-json FILE
 //                  machine-readable run summary (sweep counters, wall time,
-//                  per-shard status, parsed-option echo) for CI gates — see
+//                  service tallies, parsed-option echo) for CI gates — see
 //                  exec::RunSummary.
 //   --csv          print tables as CSV instead of aligned text.
 //
@@ -61,10 +53,14 @@
 // table (OptionSpec / option_table() below). Adding a flag means adding one
 // table entry; unknown flags are a hard error, never pass-through.
 //
+// Test-only crash injection: VCSTEER_TEST_CRASH_AFTER=N in the environment
+// makes the process SIGKILL itself after N finished jobs of a sweep, in any
+// mode (the service gate uses it to kill a --connect worker mid-lease).
+//
 // Usage pattern:
 //   bench::Options opt = bench::parse_args(argc, argv, "fig5_twocluster");
 //   bench::Output out(opt);
-//   exec::SweepResult sweep = out.run(grid);  // --launch workers + sweep
+//   exec::SweepResult sweep = out.run(grid);
 //   out.add(derived_table);     // prints (text or CSV) + into the JSON
 //   return out.finish();        // writes --json/--summary-json files
 #pragma once
@@ -83,13 +79,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/log.hpp"
-#include "exec/launcher.hpp"
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
@@ -98,20 +92,14 @@
 
 namespace vcsteer::bench {
 
-/// Retries per shard worker beyond its first attempt (--launch).
-inline constexpr unsigned kLaunchMaxRetries = 2;
-
 struct Options {
   std::string bench_name;
-  std::string exe;  // argv[0]; what --launch re-execs
+  std::string exe;  // argv[0]; --serve finds vcsteer-sweepd next to it
   unsigned jobs = exec::ThreadPool::default_jobs();
   bool smoke = false;
   bool csv = false;
   bool progress = false;  // --progress: per-job heartbeat on stderr
   std::uint64_t seed = 0;
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
-  unsigned launch = 0;  // >= 2: spawn that many shard workers first
   std::string cache_dir;
   std::string connect;    // --connect: lease jobs from this sweepd address
   std::string serve;      // --serve: spawn a sweepd on this address first
@@ -122,38 +110,6 @@ struct Options {
 
   harness::SimBudget budget() const {
     return smoke ? harness::SimBudget::smoke() : harness::SimBudget{};
-  }
-
-  /// Derived tables need the whole grid; a shard only computes its slice.
-  bool tables_enabled() const { return shard_count == 1; }
-
-  /// Command line for shard worker `i` of a --launch run: the bench's own
-  /// sweep-shaping flags plus either the static shard assignment or — under
-  /// --serve — the service connection (workers lease jobs instead of owning
-  /// a fixed slice). Output flags (--json, --summary-json, --csv) stay with
-  /// the parent — workers publish results only through the shared cache or
-  /// the server's store. --jobs is the run's *total* thread budget, split
-  /// across the workers: forwarding it verbatim would oversubscribe the
-  /// machine N-fold under the all-cores default.
-  std::vector<std::string> worker_argv(unsigned i) const {
-    const unsigned worker_jobs = std::max(1u, jobs / std::max(launch, 1u));
-    std::vector<std::string> argv = {exe};
-    if (!serve.empty()) {
-      argv.insert(argv.end(),
-                  {"--connect", serve, "--client-id", "w" + std::to_string(i)});
-    } else {
-      argv.insert(argv.end(),
-                  {"--shard",
-                   std::to_string(i) + "/" + std::to_string(launch),
-                   "--cache-dir", cache_dir});
-    }
-    argv.insert(argv.end(), {"--jobs", std::to_string(worker_jobs)});
-    if (smoke) argv.push_back("--smoke");
-    if (seed != 0) {
-      argv.push_back("--seed");
-      argv.push_back(std::to_string(seed));
-    }
-    return argv;
   }
 
   /// The id this process leases under; --client-id pins it for tests.
@@ -170,27 +126,6 @@ struct Options {
                                       : exe.substr(0, slash + 1) + "vcsteer-sweepd";
   }
 
-  /// Test-only crash injection for the launcher's recovery path: when this
-  /// process is shard VCSTEER_TEST_CRASH_SHARD of a multi-shard run, it
-  /// SIGKILLs itself after VCSTEER_TEST_CRASH_AFTER (default 1) finished
-  /// jobs — on its first launch attempt only, unless
-  /// VCSTEER_TEST_CRASH_ALWAYS is set. Returns 0 when inactive.
-  std::size_t crash_after_jobs() const {
-    const char* shard_env = std::getenv("VCSTEER_TEST_CRASH_SHARD");
-    if (shard_env == nullptr || shard_count <= 1) return 0;
-    if (std::strtoul(shard_env, nullptr, 10) != shard_index) return 0;
-    if (std::getenv("VCSTEER_TEST_CRASH_ALWAYS") == nullptr) {
-      const char* attempt = std::getenv("VCSTEER_LAUNCH_ATTEMPT");
-      if (attempt != nullptr && std::strtoul(attempt, nullptr, 10) > 1) {
-        return 0;  // the retry is allowed to succeed
-      }
-    }
-    const char* after = std::getenv("VCSTEER_TEST_CRASH_AFTER");
-    const unsigned long jobs_before_crash =
-        after != nullptr ? std::strtoul(after, nullptr, 10) : 1;
-    return std::max<std::size_t>(jobs_before_crash, 1);
-  }
-
   /// Sweep options with a stderr dot per finished (trace, machine) job —
   /// plus, with --progress (or VCSTEER_LOG=info), a heartbeat line with
   /// done/total, elapsed seconds and a linear ETA.
@@ -199,10 +134,12 @@ struct Options {
     opt.jobs = jobs;
     opt.cache_dir = cache_dir;
     opt.seed_salt = seed;
-    opt.shard_index = shard_index;
-    opt.shard_count = shard_count;
     opt.prune_top_k = prune_model;
-    opt.progress = [crash_after = crash_after_jobs(),
+    // VCSTEER_TEST_CRASH_AFTER=N: SIGKILL after N finished jobs (0: never).
+    const char* crash_env = std::getenv("VCSTEER_TEST_CRASH_AFTER");
+    opt.progress = [crash_after = crash_env != nullptr
+                                      ? std::strtoul(crash_env, nullptr, 10)
+                                      : 0UL,
                     t0 = std::chrono::steady_clock::now()](std::size_t done,
                                                            std::size_t total) {
       std::fputc('.', stderr);
@@ -267,7 +204,14 @@ inline const std::vector<OptionSpec>& option_table() {
        "worker threads for the sweep (default: all cores); results are "
        "bit-identical for every N",
        [](Options& o, const char* v) {
-         const long jobs = std::strtol(v, nullptr, 10);
+         // strtol alone would read "abc" as 0 (serial) and "4x" as 4.
+         char* end = nullptr;
+         const long jobs = std::strtol(v, &end, 10);
+         if (end == v || *end != '\0' ||
+             std::isspace(static_cast<unsigned char>(v[0]))) {
+           parse_fail(o, "--jobs expects an integer, got '" + std::string(v) +
+                             "'");
+         }
          // Clamp: negatives/0 mean serial, and there is no point spawning
          // more workers than any realistic grid has jobs.
          o.jobs = static_cast<unsigned>(std::clamp(jobs, 1L, 512L));
@@ -292,43 +236,6 @@ inline const std::vector<OptionSpec>& option_table() {
          o.seed = seed;
        },
        [](const Options& o) { return std::to_string(o.seed); }},
-      {"--shard", nullptr, "I/N",
-       "run only this process's 1/N of the job list (0 <= I < N); requires "
-       "--cache-dir",
-       [](Options& o, const char* v) {
-         char* end = nullptr;
-         const unsigned long index = std::strtoul(v, &end, 10);
-         unsigned long count = 0;
-         if (end != v && *end == '/') {
-           const char* count_str = end + 1;
-           count = std::strtoul(count_str, &end, 10);
-           if (end == count_str) count = 0;
-         }
-         if (count == 0 || index >= count || *end != '\0') {
-           parse_fail(o, std::string("--shard expects I/N with 0 <= I < N, "
-                                     "got '") +
-                             v + "'");
-         }
-         o.shard_index = static_cast<std::uint32_t>(index);
-         o.shard_count = static_cast<std::uint32_t>(count);
-       },
-       [](const Options& o) {
-         return std::to_string(o.shard_index) + "/" +
-                std::to_string(o.shard_count);
-       }},
-      {"--launch", nullptr, "N",
-       "re-exec this binary as N shard workers over --cache-dir, then run "
-       "the assembly pass",
-       [](Options& o, const char* v) {
-         const long n = std::strtol(v, nullptr, 10);
-         // 1 worker would just be the plain run with extra process overhead.
-         if (n < 2 || n > 512) {
-           parse_fail(o, "--launch expects 2..512 workers, got " +
-                             std::string(v));
-         }
-         o.launch = static_cast<unsigned>(n);
-       },
-       [](const Options& o) { return std::to_string(o.launch); }},
       {"--cache-dir", nullptr, "DIR",
        "on-disk result cache; warm re-runs skip simulation",
        [](Options& o, const char* v) { o.cache_dir = v; },
@@ -455,47 +362,23 @@ inline Options parse_args(int argc, char** argv, std::string bench_name) {
     }
     spec->apply(opt, value);
   }
-  // Cross-flag validation. A sharded run produces no tables; without the
-  // shared cache its results would be simulated and then thrown away.
-  if (opt.shard_count > 1 && opt.cache_dir.empty()) {
-    parse_fail(opt, "--shard requires --cache-dir (shards publish their "
-                    "results through the shared cache)");
-  }
-  if (opt.launch >= 2) {
-    if (opt.cache_dir.empty()) {
-      parse_fail(opt, "--launch requires --cache-dir (workers hand results "
-                      "to the assembly run through it)");
-    }
-    if (opt.shard_count > 1) {
-      parse_fail(opt, "--launch spawns the shards itself; it cannot be "
-                      "combined with --shard");
-    }
-  }
+  // Cross-flag validation.
   if (!opt.connect.empty() && !opt.serve.empty()) {
     parse_fail(opt, "--connect and --serve are mutually exclusive");
   }
-  if (!opt.connect.empty() &&
-      (opt.shard_count > 1 || opt.launch >= 2 || !opt.cache_dir.empty())) {
-    parse_fail(opt, "--connect replaces --shard/--launch/--cache-dir (jobs "
-                    "and results live on the server)");
+  if (!opt.connect.empty() && !opt.cache_dir.empty()) {
+    parse_fail(opt, "--connect replaces --cache-dir (jobs and results live "
+                    "on the server)");
   }
-  if (!opt.serve.empty()) {
-    if (opt.cache_dir.empty()) {
-      parse_fail(opt, "--serve requires --cache-dir (the daemon's durable "
-                      "result store)");
-    }
-    if (opt.shard_count > 1) {
-      parse_fail(opt, "--serve cannot be combined with --shard");
-    }
+  if (!opt.serve.empty() && opt.cache_dir.empty()) {
+    parse_fail(opt, "--serve requires --cache-dir (the daemon's durable "
+                    "result store)");
   }
   // The frontier ranking needs every grid point's model score in one
-  // process; distributed modes see only a slice.
-  if (opt.prune_model > 0 &&
-      (opt.shard_count > 1 || opt.launch >= 2 || !opt.connect.empty() ||
-       !opt.serve.empty())) {
+  // process; a service worker sees only the jobs it leases.
+  if (opt.prune_model > 0 && (!opt.connect.empty() || !opt.serve.empty())) {
     parse_fail(opt, "--prune-model needs the whole grid in one process; it "
-                    "cannot be combined with --shard/--launch/--connect/"
-                    "--serve");
+                    "cannot be combined with --connect/--serve");
   }
   return opt;
 }
@@ -554,10 +437,10 @@ class ServerProcess {
   pid_t pid_ = -1;
 };
 
-/// Runs the sweep (spawning/monitoring --launch shard workers first when
-/// requested), prints tables as they are added (text or CSV per --csv),
-/// accumulates everything into a ResultSink, and writes the --json and
-/// --summary-json files on finish().
+/// Runs the sweep (in-process, or leasing jobs from a sweep service under
+/// --connect/--serve), prints tables as they are added (text or CSV per
+/// --csv), accumulates everything into a ResultSink, and writes the --json
+/// and --summary-json files on finish().
 class Output {
  public:
   explicit Output(const Options& opt)
@@ -565,26 +448,10 @@ class Output {
         sink_(opt.bench_name),
         start_(std::chrono::steady_clock::now()) {}
 
-  /// The whole execution phase of a bench. With --launch N this first runs
-  /// the shard workers to completion (with retries); a shard that fails
-  /// persistently writes the --summary-json (ok:false) and exits non-zero
-  /// without an assembly pass. Then the in-process sweep runs — the
-  /// assembly pass in launch mode, the only pass otherwise.
+  /// The whole execution phase of a bench.
   exec::SweepResult run(const exec::SweepGrid& grid) {
     if (!opt_.serve.empty() || !opt_.connect.empty()) {
       return run_networked(grid);
-    }
-    if (opt_.launch >= 2) {
-      launch_report_ = run_workers();
-      if (!launch_report_->ok) {
-        std::fprintf(stderr,
-                     "%s: %zu of %u shard worker(s) failed after %u attempts"
-                     " each; skipping the assembly run\n",
-                     opt_.bench_name.c_str(), launch_report_->failed_workers(),
-                     opt_.launch, 1 + kLaunchMaxRetries);
-        finish_summary(/*ok=*/false);
-        std::exit(1);
-      }
     }
     exec::SweepResult sweep = exec::run_sweep(grid, opt_.sweep_options());
     record(sweep);
@@ -623,8 +490,8 @@ class Output {
 
  private:
   /// The sweep-service execution phase, both roles:
-  ///   --serve:   spawn the daemon (and optionally --launch N --connect
-  ///              workers), lease jobs alongside them, shut the daemon down.
+  ///   --serve:   spawn the daemon, lease jobs alongside any --connect
+  ///              workers, shut the daemon down.
   ///   --connect: lease jobs from an already-running daemon.
   /// Either way the run ends with an assembly pass that reads the complete
   /// grid back from the server's store, so every participant emits
@@ -634,25 +501,9 @@ class Output {
     net_.role = opt_.serve.empty() ? "connect" : "serve";
     net_.server = opt_.serve.empty() ? opt_.connect : opt_.serve;
 
-    if (!opt_.serve.empty()) {
-      if (!server_.start(opt_)) {
-        finish_summary(/*ok=*/false);
-        std::exit(1);
-      }
-      if (opt_.launch >= 2) {
-        launch_report_ = run_workers();
-        if (!launch_report_->ok) {
-          std::fprintf(stderr,
-                       "%s: %zu of %u service worker(s) failed after %u "
-                       "attempts each; skipping the assembly run\n",
-                       opt_.bench_name.c_str(),
-                       launch_report_->failed_workers(), opt_.launch,
-                       1 + kLaunchMaxRetries);
-          finish_summary(/*ok=*/false);
-          server_.stop();
-          std::exit(1);
-        }
-      }
+    if (!opt_.serve.empty() && !server_.start(opt_)) {
+      finish_summary(/*ok=*/false);
+      std::exit(1);
     }
 
     net::ClientOptions co;
@@ -695,55 +546,6 @@ class Output {
     return sweep;
   }
 
-  /// Spawns the --launch shard workers and relays their stderr line by
-  /// line under a "[shard i]" prefix (each worker's progress dots arrive
-  /// as one line: sweeps only newline-terminate them at the end).
-  exec::LaunchReport run_workers() {
-    exec::LaunchOptions lo;
-    lo.max_retries = kLaunchMaxRetries;
-    for (unsigned i = 0; i < opt_.launch; ++i) {
-      lo.worker_argv.push_back(opt_.worker_argv(i));
-    }
-    std::vector<std::string> buffered(opt_.launch);
-    auto flush_line = [](std::uint32_t w, std::string_view line) {
-      std::fprintf(stderr, "[shard %u] %.*s\n", w,
-                   static_cast<int>(line.size()), line.data());
-    };
-    lo.on_output = [&](std::uint32_t w, std::string_view chunk) {
-      std::string& buf = buffered[w];
-      buf.append(chunk);
-      std::size_t pos;
-      while ((pos = buf.find('\n')) != std::string::npos) {
-        flush_line(w, std::string_view(buf).substr(0, pos));
-        buf.erase(0, pos + 1);
-      }
-    };
-    lo.on_attempt = [&](const exec::WorkerStatus& s, bool will_retry) {
-      if (s.ok) return;
-      char reason[64];
-      if (s.term_signal != 0) {
-        std::snprintf(reason, sizeof(reason), "died to signal %d",
-                      s.term_signal);
-      } else if (s.exit_code < 0) {
-        std::snprintf(reason, sizeof(reason), "could not be spawned");
-      } else {
-        std::snprintf(reason, sizeof(reason), "exited with code %d",
-                      s.exit_code);
-      }
-      std::fprintf(stderr, "[shard %u] attempt %u/%u %s%s\n", s.index,
-                   s.attempts, 1 + kLaunchMaxRetries, reason,
-                   will_retry ? "; retrying" : "; giving up");
-    };
-    std::fprintf(stderr, "%s: launching %u shard workers (cache %s)\n",
-                 opt_.bench_name.c_str(), opt_.launch,
-                 opt_.cache_dir.c_str());
-    exec::LaunchReport report = exec::launch_workers(lo);
-    for (std::uint32_t w = 0; w < buffered.size(); ++w) {
-      if (!buffered[w].empty()) flush_line(w, buffered[w]);
-    }
-    return report;
-  }
-
   /// Execution-only counters of a pull-pass sweep. Its *results* are not
   /// recorded — the assembly pass records every point exactly once, so the
   /// JSON output and point totals stay a pure function of the grid.
@@ -764,14 +566,11 @@ class Output {
     points_ += sweep.num_points();
     simulated_ += sweep.simulated;
     cache_hits_ += sweep.cache_hits;
-    skipped_ += sweep.skipped;
     corrupt_ += sweep.cache_corrupt;
     for (const harness::RunResult& r : sweep.points()) {
-      if (!r.trace.empty()) {
-        uops_ += r.committed_uops;
-        cycles_ += r.cycles;
-        schemes_[r.scheme].uops += r.committed_uops;
-      }
+      uops_ += r.committed_uops;
+      cycles_ += r.cycles;
+      schemes_[r.scheme].uops += r.committed_uops;
     }
     for (const auto& [label, span] : sweep.scheme_simulate_s) {
       schemes_[label].simulate_s += span;
@@ -792,13 +591,7 @@ class Output {
       model_.spearman = sweep.model.spearman;
       model_.top3_overlap = sweep.model.top3_overlap;
     }
-    if (sweep.skipped > 0) {
-      std::fprintf(stderr,
-                   "%s: %zu points (%zu simulated, %zu cache hits, "
-                   "%zu other-shard)\n",
-                   opt_.bench_name.c_str(), sweep.num_points(),
-                   sweep.simulated, sweep.cache_hits, sweep.skipped);
-    } else if (!opt_.cache_dir.empty()) {
+    if (!opt_.cache_dir.empty()) {
       std::fprintf(stderr, "%s: %zu points (%zu simulated, %zu cache hits)\n",
                    opt_.bench_name.c_str(), sweep.num_points(),
                    sweep.simulated, sweep.cache_hits);
@@ -823,7 +616,6 @@ class Output {
     summary.points = points_;
     summary.simulated = simulated_;
     summary.cache_hits = cache_hits_;
-    summary.skipped = skipped_;
     summary.corrupt_recovered = corrupt_;
     summary.uops = uops_;
     summary.cycles = cycles_;
@@ -832,11 +624,6 @@ class Output {
     summary.traces = traces_;
     summary.phases = phases_;
     summary.schemes = schemes_;
-    if (launch_report_) {
-      summary.launch_workers = opt_.launch;
-      summary.launch_max_retries = kLaunchMaxRetries;
-      summary.shards = launch_report_->workers;
-    }
     summary.net = net_;
     summary.model = model_;
     summary.options = echo_options(opt_);
@@ -854,14 +641,12 @@ class Output {
   const Options& opt_;
   exec::ResultSink sink_;
   std::chrono::steady_clock::time_point start_;
-  std::optional<exec::LaunchReport> launch_report_;
   ServerProcess server_;
   exec::RunSummary::NetSummary net_;
   exec::RunSummary::ModelSummary model_;
   std::size_t points_ = 0;
   std::size_t simulated_ = 0;
   std::size_t cache_hits_ = 0;
-  std::size_t skipped_ = 0;
   std::size_t corrupt_ = 0;
   std::uint64_t uops_ = 0;
   std::uint64_t cycles_ = 0;

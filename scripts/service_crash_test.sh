@@ -7,11 +7,17 @@
 # 1. Two concurrent --connect clients leasing jobs from one vcsteer-sweepd
 #    must both emit results JSON byte-identical to a single-process
 #    --jobs 1 run, with the leases actually split between them.
-# 2. A server SIGKILLed mid-sweep (deterministically, via its
+# 2. A --connect worker SIGKILLed after publishing its first job's results
+#    but before its DONE (VCSTEER_TEST_CRASH_AFTER=1) must lose only its
+#    lease: the lease expires, the server grants the job again to the next
+#    worker, and that worker's JSON is byte-identical to the reference
+#    without re-simulating the dead worker's published job.
+# 3. A server SIGKILLed mid-sweep (deterministically, via its
 #    --crash-after-leases knob) and then restarted must be survived by the
 #    client's reconnect window: the run completes with byte-identical JSON,
 #    work finished before the crash is served from the durable cache, and
 #    the client's summary records the reconnect.
+# 4. vcsteer-sweepd rejects garbage flag values with a usage error.
 set -euo pipefail
 
 BIN="$1"
@@ -58,7 +64,7 @@ cmp "$SCRATCH/ref.json" "$SCRATCH/c1.json"
 # Every job was leased exactly once across the two clients, and each client
 # assembled the complete grid from the server's store.
 assert_summary "$SCRATCH/c0_summary.json" \
-  'ok' 'net["role"] == "connect"' 'launch is None' 'sweep["points"] > 0'
+  'ok' 'net["role"] == "connect"' 'sweep["points"] > 0'
 python3 - "$SCRATCH/c0_summary.json" "$SCRATCH/c1_summary.json" << 'EOF'
 import json, sys
 c0, c1 = (json.load(open(p)) for p in sys.argv[1:3])
@@ -71,6 +77,34 @@ schemes = len(c0["schemes"])
 assert pulled * schemes == c0["sweep"]["points"], (pulled, schemes, c0["sweep"])
 print(f"service gate: {pulled} jobs split as {tallies}")
 EOF
+kill "$SWEEPD_PID"
+wait "$SWEEPD_PID" 2> /dev/null || true
+SWEEPD_PID=""
+
+echo "--- a worker SIGKILLed mid-lease; its expired lease is re-granted"
+start_sweepd "$SCRATCH/cache3" --lease-timeout 1
+set +e
+VCSTEER_TEST_CRASH_AFTER=1 "$BIN" --smoke --jobs 1 --connect "unix:$SOCK" \
+  --client-id w1 > /dev/null 2> /dev/null
+status=$?
+set -e
+if [[ "$status" -ne 137 ]]; then
+  echo "expected worker w1 to die to SIGKILL (exit 137), got $status" >&2
+  exit 1
+fi
+"$BIN" --smoke --jobs 1 --connect "unix:$SOCK" --client-id w0 \
+  --json "$SCRATCH/dead.json" --summary-json "$SCRATCH/dead_summary.json" \
+  > /dev/null 2> /dev/null
+cmp "$SCRATCH/ref.json" "$SCRATCH/dead.json"
+# w1 leased one job and died before DONE. w0 leased every job, that one a
+# second time once its lease expired, so the server's tallies count one
+# lease more than the sweep has jobs; w1's published results for it were
+# store hits, so w0 simulated every point but that job's.
+assert_summary "$SCRATCH/dead_summary.json" \
+  'ok' 'net["workers"]["w1"] == 1' \
+  'net["workers"]["w0"] == net["jobs_pulled"]' \
+  'net["jobs_pulled"] * len(schemes) == sweep["points"]' \
+  'sweep["simulated"] + len(schemes) == sweep["points"]'
 kill "$SWEEPD_PID"
 wait "$SWEEPD_PID" 2> /dev/null || true
 SWEEPD_PID=""
@@ -97,5 +131,21 @@ assert_summary "$SCRATCH/crash_summary.json" \
 kill "$SWEEPD_PID"
 wait "$SWEEPD_PID" 2> /dev/null || true
 SWEEPD_PID=""
+
+echo "--- vcsteer-sweepd rejects garbage flag values"
+for bad in "--lease-timeout nan" "--lease-timeout inf" "--lease-timeout 1x" \
+           "--lease-timeout 0" "--lease-timeout -1" "--lease-timeout 1e9" \
+           "--crash-after-leases abc" "--crash-after-leases -1"; do
+  set +e
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  timeout 10 "$SWEEPD" --listen "unix:$SCRATCH/bad.sock" \
+    --cache-dir "$SCRATCH/bad-cache" $bad > /dev/null 2>&1
+  status=$?
+  set -e
+  if [[ "$status" -ne 2 ]]; then
+    echo "vcsteer-sweepd $bad: expected a usage error (exit 2), got $status" >&2
+    exit 1
+  fi
+done
 
 echo "service crash-recovery gate: OK"

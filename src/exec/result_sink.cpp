@@ -18,7 +18,6 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"sweep\":{\"points\":" << s.points
      << ",\"simulated\":" << s.simulated
      << ",\"cache_hits\":" << s.cache_hits
-     << ",\"skipped\":" << s.skipped
      << ",\"corrupt_recovered\":" << s.corrupt_recovered
      << ",\"uops\":" << s.uops << "}"
      << ",\"phases\":{\"trace_build_s\":" << num(s.phases.trace_build)
@@ -40,28 +39,6 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"events\":{\"experiments\":" << s.experiments
      << ",\"trace_builds\":" << s.trace_builds
      << ",\"traces\":" << s.traces << ",\"cycles\":" << s.cycles << "}";
-  if (s.launch_workers == 0) {
-    os << ",\"launch\":null";
-  } else {
-    bool launch_ok = true;
-    std::size_t failed = 0;
-    for (const WorkerStatus& w : s.shards) {
-      launch_ok = launch_ok && w.ok;
-      failed += !w.ok;
-    }
-    os << ",\"launch\":{\"workers\":" << s.launch_workers
-       << ",\"max_retries\":" << s.launch_max_retries
-       << ",\"ok\":" << boolean(launch_ok) << ",\"failed_shards\":" << failed
-       << ",\"shards\":[";
-    for (std::size_t i = 0; i < s.shards.size(); ++i) {
-      const WorkerStatus& w = s.shards[i];
-      if (i) os << ',';
-      os << "{\"shard\":" << w.index << ",\"attempts\":" << w.attempts
-         << ",\"ok\":" << boolean(w.ok) << ",\"exit_code\":" << w.exit_code
-         << ",\"signal\":" << w.term_signal << "}";
-    }
-    os << "]}";
-  }
   if (!s.net.enabled) {
     os << ",\"net\":null";
   } else {
@@ -86,7 +63,8 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
        << ",\"walked\":" << s.model.walked
        << ",\"walks_reused\":" << s.model.walks_reused
        << ",\"pruned\":" << s.model.pruned
-       << ",\"spearman\":" << num(s.model.spearman)
+       << ",\"spearman\":"
+       << (s.model.spearman ? num(*s.model.spearman) : "null")
        << ",\"top3_overlap\":" << s.model.top3_overlap << "}";
   }
   os << ",\"options\":{";
@@ -103,12 +81,8 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
 }
 
 void ResultSink::add_sweep(const SweepResult& sweep) {
-  for (const harness::RunResult& r : sweep.points()) {
-    // Slots another shard owns stay default-initialised (empty trace);
-    // exporting them would masquerade as real zero-IPC results.
-    if (r.trace.empty()) continue;
-    results_.push_back(r);
-  }
+  results_.insert(results_.end(), sweep.points().begin(),
+                  sweep.points().end());
 }
 
 void ResultSink::add_table(stats::Table table) {
@@ -144,8 +118,8 @@ void ResultSink::write_json(std::ostream& os) const {
   // removed from the per-result records below (2: + per-result "source").
   os << "\"schema_version\":2,";
   // Deliberately no execution counters (simulated/cache hits) here: the
-  // document is a pure function of the grid, so a cached, sharded, or
-  // launched run emits the same bytes as a cold single-process one. The
+  // document is a pure function of the grid, so a cached or service-leased
+  // run emits the same bytes as a cold single-process one. The
   // counters live in the --summary-json (RunSummary).
   os << "\"sweep\":{\"points\":" << results_.size() << "},";
   os << "\"results\":[";

@@ -6,19 +6,19 @@
 //    "tables":[{title,columns,rows}...]}
 // so a single --json file carries both the full-precision raw points (for
 // plotting/regression-diffing) and the rendered figure tables. The document
-// is a pure function of the grid — cached, sharded, and launched runs all
-// emit identical bytes. Execution metadata (simulated/cache-hit counts,
-// wall time, shard status) goes in the separate --summary-json document
+// is a pure function of the grid — cached, service-leased and plain runs
+// all emit identical bytes. Execution metadata (simulated/cache-hit counts,
+// wall time, service tallies) goes in the separate --summary-json document
 // (RunSummary below) that CI gates assert on.
 #pragma once
 
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "exec/launcher.hpp"
 #include "exec/sweep.hpp"
 #include "harness/experiment.hpp"
 #include "stats/table.hpp"
@@ -31,15 +31,14 @@ namespace vcsteer::exec {
 /// "the assembly run was a pure cache read".
 struct RunSummary {
   std::string bench;
-  /// False when a launched shard exhausted its retries (the process also
-  /// exits non-zero in that case, but the summary still explains why).
+  /// False when the run failed (the process also exits non-zero in that
+  /// case, but the summary still explains why).
   bool ok = true;
   double wall_seconds = 0.0;
   /// Sweep counters, straight from SweepResult.
   std::size_t points = 0;
   std::size_t simulated = 0;
   std::size_t cache_hits = 0;
-  std::size_t skipped = 0;
   std::size_t corrupt_recovered = 0;
   /// Committed micro-ops summed over this run's available points (simulated
   /// or cache-served). On a cold single-process run this is the simulated
@@ -64,11 +63,6 @@ struct RunSummary {
     double simulate_s = 0.0;
   };
   std::map<std::string, SchemeSummary> schemes;
-  /// Shard-process orchestration (`--launch N`); workers == 0 means the
-  /// bench ran single-process and the `launch` JSON field is null.
-  unsigned launch_workers = 0;
-  unsigned launch_max_retries = 0;
-  std::vector<WorkerStatus> shards;
   /// Sweep-service involvement (`--connect` / `--serve`); disabled means
   /// the `net` JSON field is null.
   struct NetSummary {
@@ -96,7 +90,7 @@ struct RunSummary {
     std::size_t walked = 0;
     std::size_t walks_reused = 0;
     std::size_t pruned = 0;
-    double spearman = 0.0;
+    std::optional<double> spearman;  ///< null in JSON when undefined
     std::size_t top3_overlap = 0;
   };
   ModelSummary model;
@@ -108,18 +102,15 @@ struct RunSummary {
 
 /// One-line JSON document:
 ///   {"bench":...,"ok":...,"wall_seconds":...,
-///    "sweep":{"points","simulated","cache_hits","skipped","corrupt_recovered",
-///             "uops"},
+///    "sweep":{"points","simulated","cache_hits","corrupt_recovered","uops"},
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
 ///              "cache_io_s"},
 ///    "schemes":{label:{"uops","simulate_s"}...},
 ///    "events":{"experiments","trace_builds","traces","cycles"},
-///    "launch":null | {"workers","max_retries","ok","failed_shards",
-///                     "shards":[{"shard","attempts","ok","exit_code","signal"}]},
 ///    "net":null | {"server","role","jobs_pulled","gets","puts","reconnects",
 ///                  "workers":{client-id:jobs-pulled...}},
 ///    "model":null | {"top_k","estimated","walked","walks_reused","pruned",
-///                    "spearman","top3_overlap"},
+///                    "spearman" (number | null),"top3_overlap"},
 ///    "options":{flag:final-value...}}
 void write_summary_json(std::ostream& os, const RunSummary& summary);
 
@@ -128,10 +119,10 @@ class ResultSink {
   explicit ResultSink(std::string bench_name)
       : bench_name_(std::move(bench_name)) {}
 
-  /// Record every point of `sweep` that carries a result (slots owned by
-  /// other shards are skipped). Execution counters are NOT recorded: the
-  /// JSON document stays a pure function of the grid (see write_json), and
-  /// run metadata goes through RunSummary instead.
+  /// Record every point of a complete `sweep` (not a queue-mode pull pass,
+  /// whose unpulled slots are empty). Execution counters are NOT recorded:
+  /// the JSON document stays a pure function of the grid (see write_json),
+  /// and run metadata goes through RunSummary instead.
   void add_sweep(const SweepResult& sweep);
   void add_table(stats::Table table);
 

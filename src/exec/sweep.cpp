@@ -116,15 +116,13 @@ std::vector<double> tied_ranks(const std::vector<double>& values) {
   return ranks;
 }
 
-/// Spearman rank correlation of two paired samples. Degenerate inputs get
-/// the ranking-agreement reading: fewer than two pairs or both sides
-/// constant = trivially agreeing rankings (1.0); exactly one side constant
-/// = no discrimination to agree with (0.0).
-double spearman_correlation(const std::vector<double>& a,
-                            const std::vector<double>& b) {
+}  // namespace
+
+std::optional<double> spearman_correlation(const std::vector<double>& a,
+                                           const std::vector<double>& b) {
   VCSTEER_CHECK(a.size() == b.size());
   const std::size_t n = a.size();
-  if (n < 2) return 1.0;
+  if (n < 2) return std::nullopt;
   const std::vector<double> ra = tied_ranks(a);
   const std::vector<double> rb = tied_ranks(b);
   double mean_a = 0, mean_b = 0;
@@ -142,12 +140,9 @@ double spearman_correlation(const std::vector<double>& a,
     var_a += da * da;
     var_b += db * db;
   }
-  if (var_a == 0.0 && var_b == 0.0) return 1.0;
-  if (var_a == 0.0 || var_b == 0.0) return 0.0;
+  if (var_a == 0.0 || var_b == 0.0) return std::nullopt;
   return cov / std::sqrt(var_a * var_b);
 }
-
-}  // namespace
 
 std::uint64_t grid_fingerprint(const SweepGrid& grid,
                                std::uint64_t seed_salt) {
@@ -188,17 +183,12 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   VCSTEER_CHECK_MSG(!grid.profiles.empty() && !grid.machines.empty() &&
                         !grid.schemes.empty(),
                     "empty sweep grid");
-  VCSTEER_CHECK_MSG(opt.shard_count >= 1 && opt.shard_index < opt.shard_count,
-                    "shard_index must be < shard_count");
   SweepResult result(grid.profiles.size(), grid.machines.size(),
                      grid.schemes.size());
 
-  VCSTEER_CHECK_MSG(opt.queue == nullptr || opt.shard_count == 1,
-                    "queue mode replaces --shard; use one or the other");
-  VCSTEER_CHECK_MSG(opt.prune_top_k == 0 ||
-                        (opt.queue == nullptr && opt.shard_count == 1),
+  VCSTEER_CHECK_MSG(opt.prune_top_k == 0 || opt.queue == nullptr,
                     "--prune-model needs the whole grid: incompatible with "
-                    "--shard and queue mode");
+                    "queue mode");
 
   std::optional<LocalStore> local_store;
   ResultStore* store = opt.store;
@@ -207,14 +197,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     store = &*local_store;
   }
 
-  // Shard assignment is a stable modulo over the expanded job list, so the
-  // same (grid, shard_count) always maps a job to the same shard. In queue
-  // mode every job is nominally ours — the queue decides who runs what.
-  auto in_shard = [&opt](std::size_t t, std::size_t m,
-                         std::size_t machines) {
-    return opt.queue != nullptr ||
-           (t * machines + m) % opt.shard_count == opt.shard_index;
-  };
   const std::size_t total_jobs =
       grid.profiles.size() * grid.machines.size();
   std::atomic<std::size_t> simulated{0};
@@ -373,16 +355,13 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   std::size_t num_jobs = 0;
   for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
     for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-      if (in_shard(t, m, grid.machines.size()) && !sim_schemes[m].empty()) {
+      if (!sim_schemes[m].empty()) {
         ++num_jobs;
         // Leased jobs announce themselves when acquired.
         if (opt.queue == nullptr) traces.expect(t, 1);
       }
     }
     if (opt.prune_top_k > 0) traces.done(t);  // release stage 1's hold
-  }
-  if (opt.prune_top_k == 0) {
-    result.skipped = (total_jobs - num_jobs) * grid.schemes.size();
   }
 
   // --- Stage 2: cycle-accurate simulation. --------------------------------
@@ -492,9 +471,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   } else if (opt.jobs <= 1 || num_jobs <= 1) {
     for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
       for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        if (in_shard(t, m, grid.machines.size()) && !sim_schemes[m].empty()) {
-          run_job(t, m);
-        }
+        if (!sim_schemes[m].empty()) run_job(t, m);
       }
     }
   } else if (num_jobs > 0) {
@@ -505,9 +482,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     futures.reserve(num_jobs);
     for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
       for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        if (!in_shard(t, m, grid.machines.size()) || sim_schemes[m].empty()) {
-          continue;
-        }
+        if (sim_schemes[m].empty()) continue;
         futures.push_back(pool.submit([&run_job, t, m] { run_job(t, m); }));
       }
     }

@@ -1,7 +1,7 @@
-// Deterministic sharded execution of an experiment grid.
+// Deterministic parallel execution of an experiment grid.
 //
 // A sweep is the cross product (traces x machines x schemes) every figure
-// bench iterates. run_sweep() shards it into one job per (trace, machine)
+// bench iterates. run_sweep() splits it into one job per (trace, machine)
 // pair — the granularity at which TraceExperiment amortises the simulated
 // core across schemes — and runs the jobs on a ThreadPool. The jobs of one
 // trace share its harness::TraceArtefact (workload, simulation points,
@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,8 +51,8 @@ struct SweepGrid {
 /// Source of sweep jobs for pull-mode scheduling. A job is the linear index
 /// `trace * num_machines + machine` into the grid's (trace, machine) cells.
 /// The sweep service's NetJobQueue leases jobs from vcsteer-sweepd so idle
-/// workers steal work from slow ones instead of being pinned to a static
-/// modulo shard; tests drive run_sweep with in-process queues.
+/// workers steal work from slow ones; tests drive run_sweep with in-process
+/// queues.
 class JobQueue {
  public:
   virtual ~JobQueue() = default;
@@ -74,25 +75,17 @@ struct SweepOptions {
   /// service's networked store). Not owned.
   ResultStore* store = nullptr;
   /// Pull-mode scheduling: when set, workers acquire() jobs from this queue
-  /// until it drains instead of enumerating the static shard. Jobs executed
+  /// until it drains instead of enumerating the whole grid. Jobs executed
   /// here count into SweepResult::jobs_pulled; cells this worker never
   /// pulled stay default-initialised (count in `skipped`) and are assembled
-  /// from the shared store afterwards. Requires shard_count == 1 (the queue
-  /// replaces sharding). Not owned.
+  /// from the shared store afterwards. Not owned.
   JobQueue* queue = nullptr;
   /// Extra salt added to every profile's seed_salt (--seed): shifts the
   /// whole sweep to a different deterministic universe.
   std::uint64_t seed_salt = 0;
-  /// Shard selection (--shard i/n): only jobs whose linear index in the
-  /// expanded (trace, machine) job list satisfies `index % shard_count ==
-  /// shard_index` run; the rest are skipped and their result slots stay
-  /// default-initialised. Jobs are deterministic, so n processes with
-  /// shards 0/n..n-1/n and a shared cache_dir partition a sweep exactly;
-  /// a final unsharded run then assembles every point from the cache.
-  std::uint32_t shard_index = 0;
-  std::uint32_t shard_count = 1;
   /// Called after each (trace, machine) job completes, from the worker
-  /// thread (serialised by the runner). done/total count this shard's jobs.
+  /// thread (serialised by the runner). done/total count this run's jobs
+  /// (in queue mode, total is the whole grid's).
   std::function<void(std::size_t done, std::size_t total)> progress;
   /// Two-stage pruned search (--prune-model K; 0 = off). When set, every
   /// grid point is first scored by the analytical critical-path model
@@ -102,8 +95,8 @@ struct SweepOptions {
   /// SimEvaluator path as an unpruned run, so the simulated frontier's
   /// results (and cache entries) are byte-identical with and without
   /// pruning. Non-frontier slots carry the model estimates, tagged
-  /// source == "model". Incompatible with sharding and queue mode (the
-  /// frontier needs the whole grid's estimates).
+  /// source == "model". Incompatible with queue mode (the frontier needs
+  /// the whole grid's estimates).
   std::size_t prune_top_k = 0;
 };
 
@@ -148,7 +141,8 @@ class SweepResult {
   /// Points actually simulated / served from the cache in this run.
   std::size_t simulated = 0;
   std::size_t cache_hits = 0;
-  /// Points left untouched because their job belongs to another shard.
+  /// Points left untouched in queue mode because another worker pulled
+  /// their job.
   std::size_t skipped = 0;
   /// Cache entries found truncated/garbled (e.g. a worker killed mid-run on
   /// a pre-fsync cache); each was deleted and the point re-simulated, so
@@ -162,8 +156,8 @@ class SweepResult {
   /// trace that any job needed, except in queue mode, where a trace whose
   /// leased jobs have all finished is rebuilt if another is leased later.
   std::size_t trace_builds = 0;
-  /// Jobs this run acquired from SweepOptions::queue (0 in static-shard
-  /// mode): the per-worker work-stealing tally surfaced in --summary-json.
+  /// Jobs this run acquired from SweepOptions::queue (0 without a queue):
+  /// the per-worker work-stealing tally surfaced in --summary-json.
   std::size_t jobs_pulled = 0;
   /// Two-stage pruned-mode accounting (SweepOptions::prune_top_k).
   struct ModelStats {
@@ -178,8 +172,9 @@ class SweepResult {
     std::size_t pruned = 0;     ///< slots filled with model estimates only.
     /// Rank agreement between model and simulation over the simulated
     /// frontier configs: Spearman correlation of mean-IPC ranks
-    /// (tie-averaged) and the overlap of the two top-3 config sets.
-    double spearman = 0.0;
+    /// (tie-averaged; nullopt when undefined, see spearman_correlation) and
+    /// the overlap of the two top-3 config sets.
+    std::optional<double> spearman;
     std::size_t top3_overlap = 0;
   };
   ModelStats model;
@@ -198,6 +193,12 @@ class SweepResult {
 };
 
 SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt);
+
+/// Spearman rank correlation of two paired samples, on tie-averaged ranks.
+/// Undefined, and so nullopt, when there are fewer than two pairs or either
+/// side is constant: a constant side has no ranking to agree with.
+std::optional<double> spearman_correlation(const std::vector<double>& a,
+                                           const std::vector<double>& b);
 
 /// Deterministic 64-bit identity of a sweep: the hash of every point's
 /// canonical cache key (profiles already salted with `seed_salt`). Clients

@@ -1,10 +1,10 @@
 // vcsteer-sweepd: the sweep-service daemon core.
 //
 // One SweepServer owns the authoritative ResultCache for a farm of sweep
-// workers and hands out (trace, machine) jobs on lease, turning the static
-// `--shard i/n` partition into a pull model: fast workers lease more jobs,
-// slow or crashed workers' leases expire back onto the queue and someone
-// else picks them up. The server itself is a single poll() loop — no
+// workers and hands out (trace, machine) jobs on lease — the one way a sweep
+// spreads over processes or hosts. It is a pull model: fast workers lease
+// more jobs, slow or crashed workers' leases expire back onto the queue and
+// someone else picks them up. The server itself is a single poll() loop — no
 // threads, no locks — which keeps every queue transition trivially ordered;
 // the heavy lifting (simulation) all happens client-side.
 //

@@ -9,6 +9,10 @@
 // deliberately rebuilt from the first LEASE after a restart.
 #include <signal.h>
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +43,37 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// The longest lease --lease-timeout accepts: a day. The timeout is added
+/// to a steady_clock time point, so it must stay finite and far from the
+/// clock's range.
+constexpr double kMaxLeaseTimeoutS = 86400.0;
+
+/// Strict argv decoding: the whole value must be the number, so "1x",
+/// "nan" or " 5" are rejected instead of read as a prefix or as garbage.
+bool parse_lease_timeout(const char* v, double* out) {
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' ||
+      std::isspace(static_cast<unsigned char>(v[0])) || !std::isfinite(x) ||
+      x <= 0 || x > kMaxLeaseTimeoutS) {
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
+bool parse_count(const char* v, std::uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long x = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+      errno == ERANGE) {
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -58,14 +93,22 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       opt.cache_dir = value("--cache-dir");
     } else if (arg == "--lease-timeout") {
-      opt.lease_timeout_s = std::strtod(value("--lease-timeout"), nullptr);
-      if (opt.lease_timeout_s <= 0) {
-        std::fprintf(stderr, "--lease-timeout must be positive\n");
+      const char* v = value("--lease-timeout");
+      if (!parse_lease_timeout(v, &opt.lease_timeout_s)) {
+        std::fprintf(stderr,
+                     "--lease-timeout expects seconds in (0, %g], got '%s'\n",
+                     kMaxLeaseTimeoutS, v);
         return 2;
       }
     } else if (arg == "--crash-after-leases") {
-      opt.crash_after_leases =
-          std::strtoull(value("--crash-after-leases"), nullptr, 10);
+      const char* v = value("--crash-after-leases");
+      if (!parse_count(v, &opt.crash_after_leases)) {
+        std::fprintf(stderr,
+                     "--crash-after-leases expects a non-negative integer, "
+                     "got '%s'\n",
+                     v);
+        return 2;
+      }
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

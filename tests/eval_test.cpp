@@ -411,9 +411,22 @@ TEST(PrunedSweep, FrontierIsByteIdenticalAndRestIsModelTagged) {
   EXPECT_EQ(sim_slots, 2 * grid.profiles.size());
   EXPECT_EQ(model_slots, pruned.model.pruned);
   EXPECT_EQ(pruned.simulated, sim_slots);
-  EXPECT_GE(pruned.model.spearman, -1.0);
-  EXPECT_LE(pruned.model.spearman, 1.0);
+  if (pruned.model.spearman) {
+    EXPECT_GE(*pruned.model.spearman, -1.0);
+    EXPECT_LE(*pruned.model.spearman, 1.0);
+  }
   EXPECT_LE(pruned.model.top3_overlap, 3u);
+}
+
+TEST(PrunedSweep, SingleConfigFrontierHasNoSpearman) {
+  // One simulated config leaves no ranking to compare: the rank agreement
+  // is undefined, not a perfect 1.
+  exec::SweepOptions opt;
+  opt.prune_top_k = 1;
+  const exec::SweepResult pruned = exec::run_sweep(small_grid(), opt);
+  EXPECT_TRUE(pruned.model.enabled);
+  EXPECT_FALSE(pruned.model.spearman.has_value());
+  EXPECT_EQ(pruned.model.top3_overlap, 1u);
 }
 
 TEST(PrunedSweep, FrontierCoveringWholeGridReproducesUnprunedBytes) {

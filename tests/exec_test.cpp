@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -255,7 +256,7 @@ std::string only_entry(const std::string& cache_dir) {
   return found;
 }
 
-// A shard killed mid-write must never poison later runs: store() is
+// A worker killed mid-write must never poison later runs: store() is
 // fsync-and-rename atomic, and even an entry truncated by other means
 // (pre-atomic caches, disk faults) is detected and re-simulated instead of
 // aborting the assembly run.
@@ -615,58 +616,6 @@ TEST(Sweep, ChangedConfigMissesCache) {
   EXPECT_EQ(miss2.cache_hits, 0u);
 }
 
-TEST(Sweep, ShardsPartitionJobsAndAssembleFromSharedCache) {
-  ScratchDir dir;
-  SweepGrid grid = small_grid();  // 2 traces x 1 machine x 3 schemes
-  grid.machines.push_back(MachineConfig::four_cluster());  // -> 4 jobs
-
-  // Reference: one unsharded, uncached sweep.
-  const SweepResult full = run_sweep(grid, SweepOptions{});
-  EXPECT_EQ(full.skipped, 0u);
-
-  // Two shard "processes" sharing the cache dir split the 4 jobs exactly.
-  SweepOptions shard;
-  shard.cache_dir = dir.path() + "/cache";
-  shard.shard_count = 2;
-  std::size_t simulated = 0;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    shard.shard_index = i;
-    const SweepResult part = run_sweep(grid, shard);
-    EXPECT_EQ(part.simulated + part.skipped, part.num_points());
-    EXPECT_EQ(part.skipped, part.num_points() / 2);
-    simulated += part.simulated;
-    // The shard's own slots carry real results; other-shard slots are empty.
-    for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-      for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        const bool mine =
-            (t * grid.machines.size() + m) % shard.shard_count == i;
-        for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-          if (mine) {
-            expect_results_equal(full.at(t, m, s), part.at(t, m, s));
-          } else {
-            EXPECT_TRUE(part.at(t, m, s).trace.empty());
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(simulated, full.num_points());
-
-  // A final unsharded run assembles every point from the shared cache.
-  SweepOptions assemble;
-  assemble.cache_dir = shard.cache_dir;
-  const SweepResult warm = run_sweep(grid, assemble);
-  EXPECT_EQ(warm.simulated, 0u);
-  EXPECT_EQ(warm.cache_hits, warm.num_points());
-  for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-    for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-      for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        expect_results_equal(full.at(t, m, s), warm.at(t, m, s));
-      }
-    }
-  }
-}
-
 TEST(Sweep, CorruptCacheEntryIsResimulatedNotFatal) {
   ScratchDir dir;
   SweepGrid grid = small_grid();
@@ -842,7 +791,7 @@ TEST(ResultSink, JsonCarriesResultsAndTables) {
 }
 
 
-TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
+TEST(RunSummary, JsonCarriesSweepCounters) {
   RunSummary s;
   s.bench = "fig7_fourcluster";
   s.ok = true;
@@ -855,20 +804,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   s.traces = 3;
   s.schemes["MOD3"] = {750000, 0.25};
   s.schemes["VC-STEER"] = {750000, 0.5};
-  s.launch_workers = 2;
-  s.launch_max_retries = 2;
-  WorkerStatus w0;
-  w0.index = 0;
-  w0.attempts = 1;
-  w0.ok = true;
-  w0.exit_code = 0;
-  WorkerStatus w1;
-  w1.index = 1;
-  w1.attempts = 2;
-  w1.ok = true;
-  w1.exit_code = 0;
-  w1.term_signal = 0;
-  s.shards = {w0, w1};
 
   std::ostringstream os;
   write_summary_json(os, s);
@@ -876,8 +811,8 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
   EXPECT_NE(json.find("\"bench\":\"fig7_fourcluster\""), std::string::npos);
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":0,"
-                      "\"cache_hits\":25,\"skipped\":0,"
-                      "\"corrupt_recovered\":0,\"uops\":1500000}"),
+                      "\"cache_hits\":25,\"corrupt_recovered\":0,"
+                      "\"uops\":1500000}"),
             std::string::npos);
   EXPECT_NE(json.find("\"events\":{\"experiments\":0,\"trace_builds\":3,"
                       "\"traces\":3,\"cycles\":0}"),
@@ -888,11 +823,6 @@ TEST(RunSummary, JsonCarriesSweepCountersAndShardStatus) {
                       "\"simulate_s\":0.25}"),
             std::string::npos);
   EXPECT_NE(json.find("\"VC-STEER\":{\"uops\":750000,\"simulate_s\":0.5}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"launch\":{\"workers\":2,\"max_retries\":2,"
-                      "\"ok\":true,\"failed_shards\":0"),
-            std::string::npos);
-  EXPECT_NE(json.find("{\"shard\":1,\"attempts\":2,\"ok\":true"),
             std::string::npos);
   // No sweep service involved: the net field is explicitly null.
   EXPECT_NE(json.find("\"net\":null"), std::string::npos);
@@ -921,36 +851,41 @@ TEST(RunSummary, NetSectionCarriesServiceCountersAndWorkerTallies) {
   EXPECT_EQ(json.find("\"net\":null"), std::string::npos);
 }
 
-TEST(RunSummary, NoLaunchMeansNullLaunchField) {
+TEST(RunSummary, ModelSectionWritesUndefinedSpearmanAsNull) {
   RunSummary s;
-  s.bench = "fig5_twocluster";
+  s.bench = "autotune_search";
+  s.model.enabled = true;
+  s.model.top_k = 8;
   std::ostringstream os;
   write_summary_json(os, s);
-  EXPECT_NE(os.str().find("\"launch\":null"), std::string::npos);
+  EXPECT_NE(os.str().find("\"spearman\":null,"), std::string::npos);
+
+  s.model.spearman = 0.5;
+  std::ostringstream defined;
+  write_summary_json(defined, s);
+  EXPECT_NE(defined.str().find("\"spearman\":0.5,"), std::string::npos);
 }
 
-TEST(RunSummary, FailedShardSurfacesInJson) {
-  RunSummary s;
-  s.bench = "fig5_twocluster";
-  s.ok = false;
-  s.launch_workers = 2;
-  s.launch_max_retries = 2;
-  WorkerStatus dead;
-  dead.index = 1;
-  dead.attempts = 3;
-  dead.ok = false;
-  dead.exit_code = -1;
-  dead.term_signal = 9;
-  s.shards = {WorkerStatus{0, 1, true, 0, 0}, dead};
+// ------------------------------------------------------------- Spearman ---
 
-  std::ostringstream os;
-  write_summary_json(os, s);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(json.find("\"failed_shards\":1"), std::string::npos);
-  EXPECT_NE(json.find("{\"shard\":1,\"attempts\":3,\"ok\":false,"
-                      "\"exit_code\":-1,\"signal\":9}"),
-            std::string::npos);
+TEST(Spearman, RanksAgreementOnTieAveragedRanks) {
+  EXPECT_DOUBLE_EQ(*spearman_correlation({1, 2, 3, 4}, {10, 20, 30, 40}), 1.0);
+  EXPECT_DOUBLE_EQ(*spearman_correlation({1, 2, 3, 4}, {4, 3, 2, 1}), -1.0);
+  // Ties share the mean of the ranks they span: a's two 2s both rank 2.5.
+  const std::optional<double> tied =
+      spearman_correlation({1, 2, 2, 3}, {1, 2, 3, 4});
+  ASSERT_TRUE(tied.has_value());
+  EXPECT_NEAR(*tied, 0.9486832980505138, 1e-12);
+}
+
+TEST(Spearman, UndefinedWhenASideIsConstantOrTooShort) {
+  // One side constant: no ranking to agree with, so no number either —
+  // a 0 here would read as "uncorrelated" in a summary.
+  EXPECT_FALSE(spearman_correlation({0.37, 0.37, 0.37}, {0.1, 0.3, 0.2}));
+  EXPECT_FALSE(spearman_correlation({0.1, 0.3, 0.2}, {0.5, 0.5, 0.5}));
+  EXPECT_FALSE(spearman_correlation({0.5, 0.5}, {0.5, 0.5}));
+  EXPECT_FALSE(spearman_correlation({0.5}, {0.7}));
+  EXPECT_FALSE(spearman_correlation({}, {}));
 }
 
 }  // namespace
