@@ -523,6 +523,12 @@ class Output {
     pull_opt.queue = &queue;
     const exec::SweepResult pulled = exec::run_sweep(grid, pull_opt);
     record_execution(pulled);
+    // Cells of the jobs leased here: the pull pass filled them (by store
+    // hit or simulation), and the assembly pass reads them back.
+    std::size_t pulled_points = 0;
+    for (const harness::RunResult& r : pulled.points()) {
+      if (!r.trace.empty()) ++pulled_points;
+    }
     net_.jobs_pulled = pulled.jobs_pulled;
     std::fprintf(stderr, "%s: pulled %zu/%zu jobs from %s\n",
                  opt_.bench_name.c_str(), pulled.jobs_pulled, njobs,
@@ -535,7 +541,9 @@ class Output {
     assemble.cache_dir.clear();
     assemble.store = &store;
     exec::SweepResult sweep = exec::run_sweep(grid, assemble);
-    record(sweep);
+    // The assembly's read-back of this process's own leased cells is not a
+    // hit: those points already counted in the pull pass.
+    record(sweep, std::min(pulled_points, sweep.cache_hits));
 
     client.stats(sweep_id, &net_.workers);
     const net::StoreClient::Counters counters = client.counters();
@@ -555,18 +563,23 @@ class Output {
     corrupt_ += sweep.cache_corrupt;
     experiments_ += sweep.experiments;
     trace_builds_ += sweep.trace_builds;
+    annotations_ += sweep.annotations;
     phases_ += sweep.phases;
     for (const auto& [label, span] : sweep.scheme_simulate_s) {
       schemes_[label].simulate_s += span;
     }
   }
 
-  void record(const exec::SweepResult& sweep) {
+  /// Every point of a complete sweep. `read_back` of its cache hits are
+  /// cells this process already counted in a pull pass (see
+  /// RunSummary::cache_hits).
+  void record(const exec::SweepResult& sweep, std::size_t read_back = 0) {
     sink_.add_sweep(sweep);
     points_ += sweep.num_points();
     simulated_ += sweep.simulated;
-    cache_hits_ += sweep.cache_hits;
+    cache_hits_ += sweep.cache_hits - read_back;
     corrupt_ += sweep.cache_corrupt;
+    annotations_ += sweep.annotations;
     for (const harness::RunResult& r : sweep.points()) {
       uops_ += r.committed_uops;
       cycles_ += r.cycles;
@@ -617,6 +630,7 @@ class Output {
     summary.simulated = simulated_;
     summary.cache_hits = cache_hits_;
     summary.corrupt_recovered = corrupt_;
+    summary.annotations = annotations_;
     summary.uops = uops_;
     summary.cycles = cycles_;
     summary.experiments = experiments_;
@@ -648,6 +662,7 @@ class Output {
   std::size_t simulated_ = 0;
   std::size_t cache_hits_ = 0;
   std::size_t corrupt_ = 0;
+  std::size_t annotations_ = 0;
   std::uint64_t uops_ = 0;
   std::uint64_t cycles_ = 0;
   std::size_t experiments_ = 0;

@@ -148,7 +148,10 @@ gate_model() {
   # 552-point ablation grid) of which the simulator sees at most 20%. Every
   # estimate either walked or reused an identical walk, and machines the
   # model cannot tell apart collapse: behind the 1-wide copy select no link
-  # bandwidth binds, so at most a ninth of the points walk.
+  # bandwidth binds, so at most a ninth of the points walk. Each trace runs
+  # each distinct software-pass input once, for both stages: 2 traces x
+  # (4 OB + 2 RHOP + 6 VC(2)) pass inputs (tests/harness_test.cpp
+  # enumerates them over this grid), not one pass per grid point.
   "$BUILD_DIR/autotune_search" --smoke --jobs 2 \
     --summary-json "$GATE_OUT/model_autotune_summary.json"
   assert_summary "$GATE_OUT/model_autotune_summary.json" \
@@ -157,7 +160,8 @@ gate_model() {
     'model["estimated"] == sweep["points"]' \
     'model["pruned"] + sweep["simulated"] == sweep["points"]' \
     'model["walked"] + model["walks_reused"] == model["estimated"]' \
-    'model["walked"] * 9 <= model["estimated"]'
+    'model["walked"] * 9 <= model["estimated"]' \
+    'sweep["annotations"] == 24'
 }
 
 gate_perf() {

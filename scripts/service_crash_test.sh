@@ -75,6 +75,10 @@ assert sum(tallies.values()) == pulled, (tallies, pulled)
 assert pulled > 0, "no jobs were leased at all"
 schemes = len(c0["schemes"])
 assert pulled * schemes == c0["sweep"]["points"], (pulled, schemes, c0["sweep"])
+# Each point counts once per client: simulated there, or read from the store.
+for c in (c0, c1):
+    sweep = c["sweep"]
+    assert sweep["simulated"] + sweep["cache_hits"] == sweep["points"], sweep
 print(f"service gate: {pulled} jobs split as {tallies}")
 EOF
 kill "$SWEEPD_PID"
@@ -99,12 +103,15 @@ cmp "$SCRATCH/ref.json" "$SCRATCH/dead.json"
 # w1 leased one job and died before DONE. w0 leased every job, that one a
 # second time once its lease expired, so the server's tallies count one
 # lease more than the sweep has jobs; w1's published results for it were
-# store hits, so w0 simulated every point but that job's.
+# store hits, so w0 simulated every point but that job's. Each point counts
+# once: the assembly's read-back of w0's own jobs is not a cache hit.
 assert_summary "$SCRATCH/dead_summary.json" \
   'ok' 'net["workers"]["w1"] == 1' \
   'net["workers"]["w0"] == net["jobs_pulled"]' \
   'net["jobs_pulled"] * len(schemes) == sweep["points"]' \
-  'sweep["simulated"] + len(schemes) == sweep["points"]'
+  'sweep["simulated"] + len(schemes) == sweep["points"]' \
+  'sweep["cache_hits"] <= sweep["points"]' \
+  'sweep["cache_hits"] == len(schemes)'
 kill "$SWEEPD_PID"
 wait "$SWEEPD_PID" 2> /dev/null || true
 SWEEPD_PID=""

@@ -12,6 +12,7 @@
 // deficiency the paper's hybrid scheme targets (§3.2).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +29,8 @@ struct ObOptions {
   /// back to the scalar comm_cost — the flat estimate, bit-identical.
   std::vector<double> comm_cost_matrix;
   double issue_width = 2.0;   ///< per-cluster issue bandwidth estimate.
+
+  auto operator<=>(const ObOptions&) const = default;
 };
 
 struct ObPassStats {

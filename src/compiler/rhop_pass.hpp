@@ -12,6 +12,7 @@
 // SteerHint::static_cluster, followed blindly by the hardware.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 
 #include "program/program.hpp"
@@ -27,6 +28,8 @@ struct RhopOptions {
   double imbalance_tolerance = 0.15;
   std::uint32_t refine_passes = 4;
   std::uint64_t seed = 0x5eed;
+
+  auto operator<=>(const RhopOptions&) const = default;
 };
 
 struct RhopPassStats {

@@ -18,6 +18,7 @@
 //     where the hardware may remap the VC.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -49,6 +50,8 @@ struct VcOptions {
   /// and remapping at every stray micro-op would turn the scheme into a
   /// pure hardware balancer.
   std::uint32_t min_leader_chain = 3;
+
+  auto operator<=>(const VcOptions&) const = default;
 };
 
 struct VcPassStats {

@@ -14,7 +14,8 @@
 // requests at once, because both backends amortise per-cell work across
 // schemes: the simulator shares one core per cell, the model one walk per
 // distinct model::WalkConfig and annotation. Both share one materialised
-// trace (harness::TraceArtefact) across cells: the simulator its warmed
+// trace (harness::TraceArtefact) across cells: its annotated programs per
+// software-pass input, which both backends read, the simulator its warmed
 // cache hierarchy per simulation point and cache geometry, the model its
 // functional memory replay per cache geometry.
 // exec::run_sweep's two-stage pruned mode (--prune-model K) estimates every
@@ -59,11 +60,15 @@ struct EvalResponse {
   std::vector<harness::RunResult> results;
   /// Wall-clock accounting, same phase buckets as the direct path.
   harness::PhaseTimes phases;
-  /// Per-scheme-label share of the simulate/walk span.
+  /// Per-scheme-label share of the simulate span (the cycle loops; the
+  /// model's walks go to phases.walk_s only).
   std::map<std::string, double> scheme_simulate_s;
   /// Traces built serving this call: 0 when the request carried one or
   /// the backend reused a memoised one.
   std::size_t trace_builds = 0;
+  /// OB/RHOP/VC pass runs this call made: pass inputs the trace had not
+  /// annotated before (harness::TraceArtefact::annotation).
+  std::size_t annotations = 0;
   /// Model backend only: results whose critical-path walk ran in this call,
   /// and results served from an earlier call's identical walk.
   std::size_t walked = 0;

@@ -1,13 +1,11 @@
 #include "eval/model_evaluator.hpp"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 
 #include "common/check.hpp"
 #include "model/critpath.hpp"
-#include "program/program.hpp"
 
 namespace vcsteer::eval {
 namespace {
@@ -96,33 +94,28 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
   for (const harness::SchemeRequest& scheme : request.schemes) {
     // Custom-policy requests carry no software pass and no scheme enum; the
     // model approximates them with the OP heuristic on unannotated hints.
-    prog::Program program = trace.workload().program;
-    steer::Scheme approx = steer::Scheme::kOp;
-    const Clock::time_point annotate_t0 = Clock::now();
-    if (!scheme.is_custom()) {
-      harness::annotate_for_scheme(program, scheme.spec, machine);
-      approx = scheme.spec.scheme;
-    }
-    response.phases.annotate_s += seconds_since(annotate_t0);
+    const steer::Scheme approx =
+        scheme.is_custom() ? steer::Scheme::kOp : scheme.spec.scheme;
+    const harness::PassOptions pass =
+        scheme.is_custom() ? harness::PassOptions{}
+                           : harness::pass_options(scheme.spec, machine);
+    double annotate_s = 0;
+    std::size_t passes = 0;
+    const harness::TraceArtefact::Annotation& annotated =
+        trace.annotation(pass, &annotate_s, &passes);
+    response.phases.annotate_s += annotate_s;
+    response.annotations += passes;
 
     // The walk is a function of the replay entry, the walk config and the
     // hints alone, so a grid point whose key an earlier point already
     // walked reuses its estimates. Lookup and insert happen under the
     // trace's lock; the walk runs outside it, once per key (std::map nodes
     // are stable, so the entry outlives the lock).
-    Hints hints(program.num_uops());
-    for (std::size_t u = 0; u < hints.size(); ++u) {
-      hints[u] = program.uop(static_cast<prog::UopId>(u)).hint;
-    }
-    WalkKey key{memory, 0, model::walk_config(machine, approx)};
+    WalkKey key{memory, annotated.id, model::walk_config(machine, approx)};
     Walk* walk = nullptr;
     const model::WalkConfig* config = nullptr;
     {
       std::lock_guard<std::mutex> lock(data.mutex);
-      const auto interned =
-          std::find(data.hints.begin(), data.hints.end(), hints);
-      key.hints = static_cast<std::size_t>(interned - data.hints.begin());
-      if (interned == data.hints.end()) data.hints.push_back(std::move(hints));
       const auto it = data.walks.try_emplace(std::move(key)).first;
       walk = &it->second;
       config = &it->first.config;
@@ -135,7 +128,7 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
       const Clock::time_point walk_t0 = Clock::now();
       for (std::size_t p = 0; p < points.size(); ++p) {
         walk->estimates.push_back(model::estimate_interval(
-            program, intervals[p], (*load_extra)[p], *config));
+            annotated.program, intervals[p], (*load_extra)[p], *config));
       }
       walk_s = seconds_since(walk_t0);
       walked = true;
@@ -165,8 +158,7 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
     result.ipc = w_uops / w_cycles;
     result.copies_per_kuop = 1000.0 * w_copies / w_uops;
     result.copy_hops_per_kuop = 1000.0 * w_hops / w_uops;
-    response.phases.simulate_s += walk_s;
-    response.scheme_simulate_s[result.scheme] += walk_s;
+    response.phases.walk_s += walk_s;
     response.results.push_back(std::move(result));
   }
   return response;

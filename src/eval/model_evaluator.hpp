@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "eval/evaluator.hpp"
-#include "isa/uop.hpp"
 #include "model/critpath.hpp"
 
 namespace vcsteer::eval {
@@ -26,9 +25,13 @@ namespace vcsteer::eval {
 /// construction once. The functional memory replay depends only
 /// on the trace and the cache geometry (L1D, L2, memory latency), so it is
 /// memoised per (trace, geometry): the machines of a search that share one
-/// hierarchy replay it once. The walk itself is memoised per trace on its
+/// hierarchy replay it once. Annotations come from the trace's own memo
+/// (harness::TraceArtefact::annotation), so each software pass runs once
+/// per (trace, pass input) and the simulator stage of a pruned sweep reuses
+/// what this stage annotated. The walk itself is memoised per trace on its
 /// complete input: the replay entry, the model::WalkConfig and the
-/// annotated steering hints. Machines the walk cannot tell apart (see
+/// annotation's interned id (WalkKey::hints: equal ids mean equal hints on
+/// every micro-op). Machines the walk cannot tell apart (see
 /// model::WalkConfig) are walked once and every later grid point reuses
 /// the estimates.
 class ModelEvaluator final : public Evaluator {
@@ -41,11 +44,10 @@ class ModelEvaluator final : public Evaluator {
   using MemoryKey = std::array<std::uint32_t, 9>;
   /// model::memory_latencies of each simulation point.
   using LoadExtra = std::vector<std::vector<std::uint32_t>>;
-  /// The steering hint of every static micro-op after one annotation.
-  using Hints = std::vector<isa::SteerHint>;
 
   /// Everything a walk reads besides the trace: the replay entry, the
-  /// index of the interned hints, and the walk config.
+  /// interned id of the annotation (harness::TraceArtefact::Annotation::id),
+  /// and the walk config.
   struct WalkKey {
     MemoryKey memory;
     std::size_t hints;
@@ -65,8 +67,6 @@ class ModelEvaluator final : public Evaluator {
     std::mutex mutex;  ///< guards every member below.
     std::shared_ptr<const harness::TraceArtefact> trace;
     std::map<MemoryKey, LoadExtra> load_extra;
-    /// Distinct annotations seen on this trace; WalkKey::hints indexes it.
-    std::vector<Hints> hints;
     std::map<WalkKey, Walk> walks;
   };
 

@@ -15,6 +15,7 @@ EvalResponse SimEvaluator::evaluate(const EvalRequest& request) {
   response.results = experiment.evaluate(request.schemes);
   response.phases += experiment.phases();
   response.scheme_simulate_s = experiment.scheme_simulate_s();
+  response.annotations = experiment.annotations();
   return response;
 }
 

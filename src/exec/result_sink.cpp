@@ -19,11 +19,13 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"simulated\":" << s.simulated
      << ",\"cache_hits\":" << s.cache_hits
      << ",\"corrupt_recovered\":" << s.corrupt_recovered
-     << ",\"uops\":" << s.uops << "}"
+     << ",\"uops\":" << s.uops << ",\"annotations\":" << s.annotations
+     << "}"
      << ",\"phases\":{\"trace_build_s\":" << num(s.phases.trace_build)
      << ",\"annotate_s\":" << num(s.phases.annotate)
      << ",\"warmup_s\":" << num(s.phases.warmup)
      << ",\"simulate_s\":" << num(s.phases.simulate)
+     << ",\"walk_s\":" << num(s.phases.walk)
      << ",\"cache_io_s\":" << num(s.phases.cache_io) << "}"
      << ",\"schemes\":{";
   {

@@ -35,11 +35,20 @@ struct RunSummary {
   /// case, but the summary still explains why).
   bool ok = true;
   double wall_seconds = 0.0;
-  /// Sweep counters, straight from SweepResult.
+  /// Sweep counters, from SweepResult. `points` is the grid's size. Each
+  /// point counts at most once in `cache_hits`: a plain run counts the
+  /// points its sweep read from the cache; a --connect/--serve run counts
+  /// the store hits of the jobs it leased, plus the points of jobs it did
+  /// not lease, which its assembly pass read from the store (its read-back
+  /// of its own leased jobs is not a hit). `simulated` counts simulations
+  /// run in this process, in either pass.
   std::size_t points = 0;
   std::size_t simulated = 0;
   std::size_t cache_hits = 0;
   std::size_t corrupt_recovered = 0;
+  /// OB/RHOP/VC pass runs across all sweeps of this run
+  /// (SweepResult::annotations).
+  std::size_t annotations = 0;
   /// Committed micro-ops summed over this run's available points (simulated
   /// or cache-served). On a cold single-process run this is the simulated
   /// uop volume, which the perf gate divides by wall_seconds for kuops/s
@@ -102,9 +111,10 @@ struct RunSummary {
 
 /// One-line JSON document:
 ///   {"bench":...,"ok":...,"wall_seconds":...,
-///    "sweep":{"points","simulated","cache_hits","corrupt_recovered","uops"},
+///    "sweep":{"points","simulated","cache_hits","corrupt_recovered","uops",
+///             "annotations"},
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
-///              "cache_io_s"},
+///              "walk_s","cache_io_s"},
 ///    "schemes":{label:{"uops","simulate_s"}...},
 ///    "events":{"experiments","trace_builds","traces","cycles"},
 ///    "net":null | {"server","role","jobs_pulled","gets","puts","reconnects",

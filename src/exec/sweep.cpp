@@ -203,6 +203,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   std::atomic<std::size_t> cache_hits{0};
   std::atomic<std::size_t> cache_corrupt{0};
   std::atomic<std::size_t> experiments{0};
+  std::atomic<std::size_t> annotations{0};
   std::atomic<std::size_t> jobs_done{0};
   std::mutex progress_mutex;
   std::mutex phases_mutex;
@@ -279,6 +280,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
         walked.fetch_add(response.walked, std::memory_order_relaxed);
         walks_reused.fetch_add(response.walks_reused,
                                std::memory_order_relaxed);
+        annotations.fetch_add(response.annotations, std::memory_order_relaxed);
         for (std::size_t i = 0; i < missing.size(); ++i) {
           const std::size_t s = missing[i];
           model_points[slot_index(t, m, s)] = std::move(response.results[i]);
@@ -290,7 +292,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
         }
         job_phases.annotate += response.phases.annotate_s;
         job_phases.warmup += response.phases.warmup_s;
-        job_phases.simulate += response.phases.simulate_s;
+        job_phases.walk += response.phases.walk_s;
       }
       traces.done(t);
       std::lock_guard<std::mutex> lock(phases_mutex);
@@ -367,10 +369,11 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   // --- Stage 2: cycle-accurate simulation. --------------------------------
   // One job = the (frontier) schemes of one (trace, machine) cell: the
   // schemes share the job's TraceExperiment behind SimEvaluator, the jobs
-  // of a trace share its TraceArtefact and warm-state snapshots, and each
-  // scheme re-annotates from scratch, so evaluating any subset of schemes yields
-  // the same bits as evaluating all of them — which is why a pruned run's
-  // simulated frontier is byte-identical to the unpruned run's.
+  // of a trace share its TraceArtefact, its annotations and warm-state
+  // snapshots, and each scheme takes its hints whole from the trace's
+  // annotation for its pass input, so evaluating any subset of schemes
+  // yields the same bits as evaluating all of them — which is why a pruned
+  // run's simulated frontier is byte-identical to the unpruned run's.
   auto run_job = [&](std::size_t t, std::size_t m) {
     workload::WorkloadProfile profile = grid.profiles[t];
     profile.seed_salt += opt.seed_salt;
@@ -406,6 +409,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       request.trace = traces.get(t, &job_phases.trace_build);
       eval::EvalResponse response = sim_evaluator.evaluate(request);
       experiments.fetch_add(1, std::memory_order_relaxed);
+      annotations.fetch_add(response.annotations, std::memory_order_relaxed);
       for (std::size_t i = 0; i < missing.size(); ++i) {
         const std::size_t s = missing[i];
         result.slot(t, m, s) = std::move(response.results[i]);
@@ -551,6 +555,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   result.cache_hits = cache_hits.load();
   result.cache_corrupt = cache_corrupt.load();
   result.experiments = experiments.load();
+  result.annotations = annotations.load();
   result.trace_builds = traces.builds();
   result.phases = phases;
   result.scheme_simulate_s = std::move(scheme_simulate_s);

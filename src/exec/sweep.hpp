@@ -5,7 +5,8 @@
 // pair — the granularity at which TraceExperiment amortises the simulated
 // core across schemes — and runs the jobs on a ThreadPool. The jobs of one
 // trace share its harness::TraceArtefact (workload, simulation points,
-// intervals, warm-state snapshots): the first job that needs it builds it,
+// intervals, warm-state snapshots, annotated programs per software-pass
+// input): the first job that needs it builds it,
 // and the sweep drops it after the trace's last job. The artefact is
 // immutable and every RNG a job touches is seeded from the profile itself,
 // so results are bit-identical no matter how many workers run or in which
@@ -109,6 +110,7 @@ struct PhaseSeconds {
   double annotate = 0;     ///< software passes (OB/RHOP/VC).
   double warmup = 0;       ///< functional cache warming.
   double simulate = 0;     ///< the cycle loops.
+  double walk = 0;         ///< the analytical model's critical-path walks.
   double cache_io = 0;     ///< ResultCache lookups + stores.
 
   PhaseSeconds& operator+=(const PhaseSeconds& o) {
@@ -116,6 +118,7 @@ struct PhaseSeconds {
     annotate += o.annotate;
     warmup += o.warmup;
     simulate += o.simulate;
+    walk += o.walk;
     cache_io += o.cache_io;
     return *this;
   }
@@ -156,6 +159,11 @@ class SweepResult {
   /// trace that any job needed, except in queue mode, where a trace whose
   /// leased jobs have all finished is rebuilt if another is leased later.
   std::size_t trace_builds = 0;
+  /// OB/RHOP/VC pass runs, by either stage. Each trace annotates each
+  /// distinct pass input (harness::PassOptions) once, so on a sweep that
+  /// builds each trace once this is the number of distinct (trace, pass
+  /// input) pairs the evaluated points need, whatever the worker count.
+  std::size_t annotations = 0;
   /// Jobs this run acquired from SweepOptions::queue (0 without a queue):
   /// the per-worker work-stealing tally surfaced in --summary-json.
   std::size_t jobs_pulled = 0;

@@ -5,9 +5,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "compiler/ob_pass.hpp"
-#include "compiler/rhop_pass.hpp"
-#include "compiler/vc_pass.hpp"
 #include "mem/hierarchy.hpp"
 #include "sim/core.hpp"
 #include "steer/vc_policy.hpp"
@@ -93,6 +90,19 @@ class WeightedAccum {
   std::array<double, sim::kMaxClusters> w_copyq_occ_{};
 };
 
+// Clears `program`'s hints and runs the pass `options` selects over it
+// (none for monostate).
+void annotate(prog::Program& program, const PassOptions& options) {
+  program.clear_hints();
+  if (const auto* ob = std::get_if<compiler::ObOptions>(&options)) {
+    compiler::assign_ob(program, *ob);
+  } else if (const auto* rhop = std::get_if<compiler::RhopOptions>(&options)) {
+    compiler::assign_rhop(program, *rhop);
+  } else if (const auto* vc = std::get_if<compiler::VcOptions>(&options)) {
+    compiler::assign_virtual_clusters(program, *vc);
+  }
+}
+
 }  // namespace
 
 std::string SchemeSpec::label(const MachineConfig& machine) const {
@@ -131,9 +141,7 @@ double min_comm_cost(const std::vector<double>& matrix, std::uint32_t n) {
   return n > 1 ? best : 0.0;
 }
 
-void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
-                         const MachineConfig& machine) {
-  program.clear_hints();
+PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine) {
   switch (spec.scheme) {
     case steer::Scheme::kOb: {
       compiler::ObOptions opt;
@@ -143,14 +151,13 @@ void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
       // chains more freely than VC does — the copy excess of Fig. 6(a.1).
       // Half a cycle per hop, no fixed cost: the flat scalar is the
       // nearest-neighbour entry of this matrix (0.5).
-      const std::vector<double> matrix =
+      std::vector<double> matrix =
           comm_cost_matrix(machine, machine.num_clusters, /*per_hop=*/0.5,
                            /*fixed=*/0.0);
       opt.comm_cost = min_comm_cost(matrix, machine.num_clusters);
-      if (machine.steer.topology_aware) opt.comm_cost_matrix = matrix;
+      if (machine.steer.topology_aware) opt.comm_cost_matrix = std::move(matrix);
       opt.issue_width = machine.issue_width_int;
-      compiler::assign_ob(program, opt);
-      break;
+      return opt;
     }
     case steer::Scheme::kRhop: {
       compiler::RhopOptions opt;
@@ -159,8 +166,7 @@ void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
       // (its balance is better than VC's in Fig. 6(b.2)).
       opt.imbalance_tolerance = 0.05;
       opt.critical_edge_bonus = 4.0;
-      compiler::assign_rhop(program, opt);
-      break;
+      return opt;
     }
     case steer::Scheme::kVc: {
       compiler::VcOptions opt;
@@ -169,22 +175,26 @@ void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
       // The scalar estimate is the matrix's nearest-neighbour entry
       // (link_latency + 1 on every topology — the pre-topology value);
       // topology-aware runs hand the pass the full per-pair matrix.
-      const std::vector<double> matrix = comm_cost_matrix(
+      std::vector<double> matrix = comm_cost_matrix(
           machine, opt.num_vcs,
           /*per_hop=*/static_cast<double>(machine.interconnect.link_latency),
           /*fixed=*/1.0);
       opt.comm_cost = min_comm_cost(matrix, opt.num_vcs);
-      if (machine.steer.topology_aware) opt.comm_cost_matrix = matrix;
+      if (machine.steer.topology_aware) opt.comm_cost_matrix = std::move(matrix);
       opt.issue_width = machine.issue_width_int;
       if (spec.vc_min_leader_chain != 0) {
         opt.min_leader_chain = spec.vc_min_leader_chain;
       }
-      compiler::assign_virtual_clusters(program, opt);
-      break;
+      return opt;
     }
     default:
-      break;  // hardware-only schemes need no annotations
+      return std::monostate{};  // hardware-only schemes need no annotations
   }
+}
+
+void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
+                         const MachineConfig& machine) {
+  annotate(program, pass_options(spec, machine));
 }
 
 std::unique_ptr<steer::SteeringPolicy> policy_for_scheme(
@@ -254,6 +264,43 @@ const std::vector<mem::MemoryHierarchy>& TraceArtefact::warm_snapshots(
   return entry->points;
 }
 
+const TraceArtefact::Annotation& TraceArtefact::annotation(
+    const PassOptions& options, double* annotate_s,
+    std::size_t* passes) const {
+  AnnotationSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(annotations_mutex_);
+    std::unique_ptr<AnnotationSlot>& entry = annotations_[options];
+    if (!entry) entry = std::make_unique<AnnotationSlot>();
+    slot = entry.get();
+  }
+  *annotate_s = 0;
+  *passes = 0;
+  std::call_once(slot->once, [&] {
+    const Clock::time_point t0 = Clock::now();
+    Annotation& a = slot->annotation;
+    a.program = wl_.program;
+    annotate(a.program, options);
+    *annotate_s = seconds_since(t0);
+    if (!std::holds_alternative<std::monostate>(options)) *passes = 1;
+    // Intern by hint content: a pass input whose hints equal an earlier
+    // one's (e.g. a pass that ignores a field the key still separates)
+    // shares that annotation's id, so the model walks it once.
+    const auto same_hints = [&](const Annotation* other) {
+      for (std::size_t u = 0; u < a.program.num_uops(); ++u) {
+        const auto id = static_cast<prog::UopId>(u);
+        if (a.program.uop(id).hint != other->program.uop(id).hint) return false;
+      }
+      return true;
+    };
+    std::lock_guard<std::mutex> lock(annotations_mutex_);
+    const auto it = std::find_if(interned_.begin(), interned_.end(), same_hints);
+    a.id = static_cast<std::size_t>(it - interned_.begin());
+    if (it == interned_.end()) interned_.push_back(&a);
+  });
+  return slot->annotation;
+}
+
 TraceExperiment::TraceExperiment(std::shared_ptr<const TraceArtefact> trace,
                                  const MachineConfig& machine)
     : trace_(std::move(trace)), machine_(machine) {}
@@ -275,9 +322,16 @@ prog::Program& TraceExperiment::program() {
 }
 
 RunResult TraceExperiment::eval_spec(const SchemeSpec& spec) {
+  double annotate_s = 0;
+  std::size_t passes = 0;
+  const TraceArtefact::Annotation& annotated = trace_->annotation(
+      pass_options(spec, machine_), &annotate_s, &passes);
+  annotations_ += passes;
+  // The core reads hints through its reference to this cell's program, so
+  // the shared annotation's hints are copied in rather than referenced.
   const Clock::time_point t0 = Clock::now();
-  annotate_for_scheme(program(), spec, machine_);
-  phases_.annotate_s += seconds_since(t0);
+  program().copy_hints(annotated.program);
+  phases_.annotate_s += annotate_s + seconds_since(t0);
   const auto policy = policy_for_scheme(spec, machine_);
   return run_annotated(*policy, spec.label(machine_));
 }

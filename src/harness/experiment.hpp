@@ -8,12 +8,17 @@
 //      aggregate the PinPoints-weighted metrics.
 // Steps 1 and 2, the interval replay and the functional cache warming are
 // machine-independent: a TraceArtefact holds them, built once per (profile,
-// budget) and shared by every machine of a sweep. A TraceExperiment is one
-// (trace, machine) cell on top of it: the annotated program copy and the
-// simulated core.
+// budget) and shared by every machine of a sweep. So are the software
+// passes' outputs, once keyed by what a pass reads: pass_options() reduces
+// a (scheme, machine) pair to the options of its pass, and the artefact
+// runs each distinct pass input once and shares the annotated program with
+// every machine, scheme and evaluator of the trace. A TraceExperiment is
+// one (trace, machine) cell on top of it: a program copy carrying the
+// current request's hints and the simulated core.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -22,9 +27,13 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/config.hpp"
+#include "compiler/ob_pass.hpp"
+#include "compiler/rhop_pass.hpp"
+#include "compiler/vc_pass.hpp"
 #include "sim/observer.hpp"
 #include "sim/stats.hpp"
 #include "steer/policy.hpp"
@@ -143,21 +152,35 @@ struct PhaseTimes {
   double annotate_s = 0;     ///< software passes (OB/RHOP/VC).
   double warmup_s = 0;       ///< functional cache warming.
   double simulate_s = 0;     ///< the cycle loops.
+  double walk_s = 0;         ///< the analytical model's critical-path walks.
 
   PhaseTimes& operator+=(const PhaseTimes& o) {
     trace_build_s += o.trace_build_s;
     annotate_s += o.annotate_s;
     warmup_s += o.warmup_s;
     simulate_s += o.simulate_s;
+    walk_s += o.walk_s;
     return *this;
   }
 };
+
+/// Everything a software pass reads: the options of the OB, RHOP or VC pass
+/// a scheme runs, or monostate for the hardware-only schemes. A pure
+/// function of (SchemeSpec, MachineConfig) — see pass_options() — and the
+/// key of the annotation memo: two requests with equal options get the same
+/// hints, whatever else differs between their machines.
+using PassOptions = std::variant<std::monostate, compiler::ObOptions,
+                                 compiler::RhopOptions, compiler::VcOptions>;
 
 /// The machine-independent part of one trace, a function of (profile with
 /// its seed salt, budget) alone: the unannotated workload, the PinPoints
 /// simulation points, each point's materialised interval and the memory
 /// addresses preceding it. Immutable once built, so one artefact is shared
 /// by every TraceExperiment and evaluator of the trace, from any thread.
+/// Two memos grow on it, each entry built once by its first caller: warm
+/// cache snapshots per cache geometry, and annotated programs per pass
+/// input (PassOptions). So a sweep runs each software pass once per
+/// (trace, pass input), not once per (machine, scheme) request.
 class TraceArtefact {
  public:
   TraceArtefact(const workload::WorkloadProfile& profile,
@@ -187,6 +210,24 @@ class TraceArtefact {
   const std::vector<mem::MemoryHierarchy>& warm_snapshots(
       const MachineConfig& machine, double* warm_s) const;
 
+  /// The trace's program annotated by one pass input.
+  struct Annotation {
+    /// workload().program with the hints of the pass `options` selects
+    /// (cleared hints for monostate). Immutable once published.
+    prog::Program program;
+    /// Interned by hint content: two annotations of this artefact share an
+    /// id exactly when every micro-op carries the same SteerHint in both.
+    std::size_t id = 0;
+  };
+
+  /// The program annotated by `options`, running the pass on the first call
+  /// per distinct options (concurrent callers wait for it) and keeping the
+  /// result for the artefact's lifetime. `annotate_s` receives the seconds
+  /// this call spent annotating, and `passes` the OB/RHOP/VC pass runs it
+  /// made (both 0 when the annotation already existed).
+  const Annotation& annotation(const PassOptions& options, double* annotate_s,
+                               std::size_t* passes) const;
+
  private:
   /// Size, associativity and line size of L1D, then of L2: everything
   /// functional warming reads (mem::MemoryHierarchy::warm_compatible).
@@ -203,13 +244,24 @@ class TraceArtefact {
   double build_s_ = 0;
   mutable std::mutex snapshots_mutex_;  ///< guards the map, not the entries.
   mutable std::map<Geometry, std::unique_ptr<Snapshots>> snapshots_;
+
+  struct AnnotationSlot {
+    std::once_flag once;
+    Annotation annotation;
+  };
+  /// Guards both members below, not the slots' annotations.
+  mutable std::mutex annotations_mutex_;
+  mutable std::map<PassOptions, std::unique_ptr<AnnotationSlot>> annotations_;
+  /// One published annotation per distinct hint content; Annotation::id
+  /// indexes it.
+  mutable std::vector<const Annotation*> interned_;
 };
 
 class TraceExperiment {
  public:
   /// One machine over a shared trace. Construction copies nothing: the
-  /// program copy the software passes annotate and the core are made on
-  /// the first evaluation.
+  /// program copy that carries each request's hints and the core are made
+  /// on the first evaluation.
   TraceExperiment(std::shared_ptr<const TraceArtefact> trace,
                   const MachineConfig& machine);
   /// Builds a private TraceArtefact first, billed to trace_build_s.
@@ -246,12 +298,16 @@ class TraceExperiment {
   const std::map<std::string, double>& scheme_simulate_s() const {
     return scheme_simulate_s_;
   }
+  /// OB/RHOP/VC pass runs this experiment made: requests whose pass input
+  /// the trace had not annotated before.
+  std::size_t annotations() const { return annotations_; }
 
  private:
   /// Weighted simulation of all points under an already-annotated program.
   RunResult run_annotated(steer::SteeringPolicy& policy, std::string label);
-  /// The two request shapes behind evaluate(): a built-in scheme (software
-  /// pass + its hardware policy) and a custom policy.
+  /// The two request shapes behind evaluate(): a built-in scheme (the
+  /// trace's annotation for its pass input + its hardware policy) and a
+  /// custom policy.
   RunResult eval_spec(const SchemeSpec& spec);
   RunResult eval_custom(steer::SteeringPolicy& policy,
                         const std::string& label);
@@ -262,7 +318,9 @@ class TraceExperiment {
   MachineConfig machine_;
   PhaseTimes phases_;
   std::map<std::string, double> scheme_simulate_s_;
-  /// This cell's copy of the program, annotated per request.
+  std::size_t annotations_ = 0;
+  /// This cell's copy of the program, carrying the current request's hints
+  /// (copied from the trace's annotation).
   std::optional<prog::Program> program_;
   /// One core over *program_ whose pools, value table and cache arrays
   /// persist across every run of this experiment, reset in place instead
@@ -294,11 +352,15 @@ std::vector<double> comm_cost_matrix(const MachineConfig& machine,
 /// pre-topology estimates bit-identically.
 double min_comm_cost(const std::vector<double>& matrix, std::uint32_t n);
 
+/// The input of `spec`'s software pass on `machine`: monostate for the
+/// hardware-only schemes, else the OB/RHOP/VC options with the machine's
+/// compile-time estimates. When machine.steer.topology_aware is set, the OB
+/// and VC options carry the per-pair topology matrix instead of only the
+/// flat nearest-neighbour scalar.
+PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine);
+
 /// Runs the software pass of `spec` over `program` (clearing previous
-/// hints). No-op for hardware-only schemes. When
-/// machine.steer.topology_aware is set, the OB and VC passes estimate
-/// communication with the per-pair topology matrix instead of the flat
-/// nearest-neighbour scalar.
+/// hints): annotate(program, pass_options(spec, machine)).
 void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
                          const MachineConfig& machine);
 

@@ -9,6 +9,13 @@ void Program::clear_hints() {
   for (isa::MicroOp& u : uops_) u.hint = isa::SteerHint{};
 }
 
+void Program::copy_hints(const Program& annotated) {
+  VCSTEER_CHECK(annotated.uops_.size() == uops_.size());
+  for (std::size_t u = 0; u < uops_.size(); ++u) {
+    uops_[u].hint = annotated.uops_[u].hint;
+  }
+}
+
 std::string Program::validate() const {
   if (blocks_.empty()) return "program has no blocks";
   if (entry_ >= blocks_.size()) return "entry block out of range";

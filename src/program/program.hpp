@@ -81,6 +81,9 @@ class Program {
 
   /// Clear all steering hints (between runs of different software passes).
   void clear_hints();
+  /// Copy every micro-op's steering hint from `annotated`, a copy of this
+  /// program that a software pass annotated.
+  void copy_hints(const Program& annotated);
 
   /// Structural validation: blocks contiguous, probabilities sum to ~1,
   /// entry valid, register indices in range. Empty string when valid.

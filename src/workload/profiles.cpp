@@ -43,7 +43,8 @@ WorkloadProfile base_fp(std::string name) {
 /// mild, deterministic perturbation of ILP and memory intensity, standing in
 /// for the different program phases PinPoints selects.
 WorkloadProfile variant(WorkloadProfile p, std::uint32_t idx) {
-  p.name += "-" + std::to_string(idx);
+  p.name += '-';
+  p.name += std::to_string(idx);
   p.seed_salt = idx;
   std::uint64_t s = hash_seed(p.name, 77);
   Rng rng(s);

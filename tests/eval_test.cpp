@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -295,6 +296,50 @@ TEST(PrunedSweep, SharedWalkMemoIsThreadSafe) {
   EXPECT_EQ(walked[0], kMemoGridWalks);
   EXPECT_EQ(walked[1], walked[0]);
   EXPECT_EQ(reused[1], reused[0]);
+}
+
+// The annotation memo is shared by both stages and every worker thread: on
+// two traces of the memo grid, whose machines share pass inputs, a sweep
+// runs each distinct (trace, pass input) once, and writes the same bytes
+// at jobs = 4 as at jobs = 1, pruned or not.
+TEST(SharedTraces, SweepRunsEachPassInputOncePerTraceAtAnyJobCount) {
+  exec::SweepGrid grid;
+  const auto smoke = workload::smoke_profiles();
+  grid.profiles = {smoke[0], smoke[1]};
+  grid.machines = memo_machines();
+  grid.schemes = memo_schemes();
+  grid.budget = {60'000, 15'000, 2};
+  std::set<harness::PassOptions> pass_inputs;
+  for (const MachineConfig& machine : grid.machines) {
+    for (const harness::SchemeRequest& scheme : grid.schemes) {
+      if (scheme.is_custom()) continue;
+      const harness::PassOptions options =
+          harness::pass_options(scheme.spec, machine);
+      if (!std::holds_alternative<std::monostate>(options)) {
+        pass_inputs.insert(options);
+      }
+    }
+  }
+  // OB flat and ring-aware, RHOP, VC(2) flat and ring-aware at two link
+  // latencies each.
+  EXPECT_EQ(pass_inputs.size(), 2u + 1u + 4u);
+  for (const std::size_t top_k : {0u, 2u}) {
+    std::string bytes[2];
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "top_k " << top_k << " jobs " << jobs);
+      exec::SweepOptions opt;
+      opt.jobs = jobs;
+      opt.prune_top_k = top_k;
+      const exec::SweepResult sweep = exec::run_sweep(grid, opt);
+      EXPECT_EQ(sweep.annotations, grid.profiles.size() * pass_inputs.size());
+      exec::ResultSink sink("annotations");
+      sink.add_sweep(sweep);
+      std::ostringstream os;
+      sink.write_json(os);
+      bytes[jobs == 1 ? 0 : 1] = os.str();
+    }
+    EXPECT_EQ(bytes[0], bytes[1]);
+  }
 }
 
 // The sweep builds each trace once and shares it across machines, cache

@@ -800,6 +800,8 @@ TEST(RunSummary, JsonCarriesSweepCounters) {
   s.simulated = 0;
   s.cache_hits = 25;
   s.uops = 1500000;
+  s.annotations = 24;
+  s.phases.walk = 0.75;
   s.trace_builds = 3;
   s.traces = 3;
   s.schemes["MOD3"] = {750000, 0.25};
@@ -812,8 +814,10 @@ TEST(RunSummary, JsonCarriesSweepCounters) {
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":0,"
                       "\"cache_hits\":25,\"corrupt_recovered\":0,"
-                      "\"uops\":1500000}"),
+                      "\"uops\":1500000,\"annotations\":24}"),
             std::string::npos);
+  // The model's walks have their own phase, apart from the cycle loops.
+  EXPECT_NE(json.find("\"simulate_s\":0,\"walk_s\":0.75,"), std::string::npos);
   EXPECT_NE(json.find("\"events\":{\"experiments\":0,\"trace_builds\":3,"
                       "\"traces\":3,\"cycles\":0}"),
             std::string::npos);

@@ -1,6 +1,12 @@
-// Tests for the experiment harness: scheme labels, annotation dispatch,
-// policy construction, and PinPoints-weighted aggregation.
+// Tests for the experiment harness: scheme labels, annotation dispatch and
+// its per-trace memo, policy construction, and PinPoints-weighted
+// aggregation.
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <map>
+#include <set>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "workload/profiles.hpp"
@@ -228,6 +234,165 @@ TEST(Experiment, OneClusterUsesOnlyClusterZero) {
   EXPECT_DOUBLE_EQ(r.copies_per_kuop, 0.0);
   EXPECT_EQ(r.last_interval.dispatched_to[1], 0u);
   EXPECT_GT(r.last_interval.dispatched_to[0], 0u);
+}
+
+std::vector<isa::SteerHint> hints_of(const prog::Program& program) {
+  std::vector<isa::SteerHint> hints(program.num_uops());
+  for (prog::UopId u = 0; u < program.num_uops(); ++u) {
+    hints[u] = program.uop(u).hint;
+  }
+  return hints;
+}
+
+// 2 and 4 clusters on every topology, flat and topology-aware, at integer
+// issue widths 2 and 3, over two link latencies.
+std::vector<MachineConfig> annotation_machines() {
+  std::vector<MachineConfig> machines;
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                                Topology::kRing, Topology::kCrossbar}) {
+      for (const bool aware : {false, true}) {
+        for (const std::uint32_t width : {2u, 3u}) {
+          for (const std::uint32_t latency : {1u, 2u}) {
+            MachineConfig m = clusters == 2 ? MachineConfig::two_cluster()
+                                            : MachineConfig::four_cluster();
+            m.interconnect.kind = topo;
+            m.interconnect.link_latency = latency;
+            m.steer.topology_aware = aware;
+            m.issue_width_int = width;
+            machines.push_back(m);
+          }
+        }
+      }
+    }
+  }
+  return machines;
+}
+
+// Every scheme, with VC at the machine's own cluster count (VC(2->2),
+// VC(4->4)), at 2 and 4 virtual clusters (VC(2->4), VC(4->2)), and with a
+// min_leader_chain override.
+std::vector<SchemeSpec> annotation_schemes() {
+  return {{steer::Scheme::kOp, 0},         {steer::Scheme::kOneCluster, 0},
+          {steer::Scheme::kOb, 0},         {steer::Scheme::kRhop, 0},
+          {steer::Scheme::kVc, 0},         {steer::Scheme::kVc, 2},
+          {steer::Scheme::kVc, 4},         {steer::Scheme::kVc, 0, 5},
+          {steer::Scheme::kParallelOp, 0}};
+}
+
+// The trace's annotation for a request's pass input carries exactly the
+// hints a fresh pass over a program copy gives that request, on every
+// machine and scheme: the key holds every field the pass reads. Each
+// distinct pass input runs its pass once, and equal ids mean equal hints.
+TEST(AnnotationMemo, MatchesAFreshPassOnEveryMachineAndScheme) {
+  const TraceArtefact trace(smoke_profile(), SimBudget{60'000, 15'000, 2});
+  std::set<PassOptions> pass_inputs;
+  std::map<std::size_t, std::vector<isa::SteerHint>> by_id;
+  std::size_t passes_run = 0;
+  for (const MachineConfig& machine : annotation_machines()) {
+    for (const SchemeSpec& spec : annotation_schemes()) {
+      SCOPED_TRACE(testing::Message()
+                   << machine.summary() << " aware "
+                   << machine.steer.topology_aware << " width "
+                   << machine.issue_width_int << " " << spec.label(machine));
+      const PassOptions options = pass_options(spec, machine);
+      double annotate_s = -1;
+      std::size_t passes = 0;
+      const TraceArtefact::Annotation& memo =
+          trace.annotation(options, &annotate_s, &passes);
+      EXPECT_GE(annotate_s, 0.0);
+      passes_run += passes;
+      if (!std::holds_alternative<std::monostate>(options)) {
+        EXPECT_EQ(passes, pass_inputs.insert(options).second ? 1u : 0u);
+      }
+
+      prog::Program fresh = trace.workload().program;
+      annotate_for_scheme(fresh, spec, machine);
+      const std::vector<isa::SteerHint> hints = hints_of(fresh);
+      EXPECT_EQ(hints_of(memo.program), hints);
+      EXPECT_EQ(by_id.try_emplace(memo.id, hints).first->second, hints);
+    }
+  }
+  EXPECT_EQ(passes_run, pass_inputs.size());
+  for (auto a = by_id.begin(); a != by_id.end(); ++a) {
+    for (auto b = std::next(a); b != by_id.end(); ++b) {
+      EXPECT_NE(a->second, b->second) << "ids " << a->first << ", " << b->first;
+    }
+  }
+}
+
+// Machines that differ only in fields a pass ignores share its input:
+// VC(2) on 2 and 4 clusters, and OB or flat VC across topologies (every
+// flat estimate is the nearest-neighbour cost), but not across link
+// latencies for VC, whose copy-cost estimate reads it.
+TEST(AnnotationMemo, PassInputIgnoresFieldsThePassDoesNotRead) {
+  const MachineConfig two = MachineConfig::two_cluster();
+  MachineConfig four_ring = MachineConfig::four_cluster();
+  four_ring.interconnect.kind = Topology::kRing;
+  four_ring.interconnect.link_latency = two.interconnect.link_latency;
+  four_ring.iq_int_entries *= 2;
+  four_ring.issue_width_int = two.issue_width_int;
+  const SchemeSpec vc2{steer::Scheme::kVc, 2};
+  EXPECT_EQ(pass_options(vc2, two), pass_options(vc2, four_ring));
+
+  MachineConfig slow_links = four_ring;
+  slow_links.interconnect.link_latency += 1;
+  const SchemeSpec ob{steer::Scheme::kOb, 0};
+  EXPECT_EQ(pass_options(ob, four_ring), pass_options(ob, slow_links));
+  EXPECT_NE(pass_options(vc2, four_ring), pass_options(vc2, slow_links));
+
+  // Topology-aware passes read the per-pair matrix, so the ring separates.
+  MachineConfig aware = four_ring;
+  aware.steer.topology_aware = true;
+  MachineConfig aware_bus = aware;
+  aware_bus.interconnect.kind = Topology::kBus;
+  EXPECT_NE(pass_options(ob, aware), pass_options(ob, aware_bus));
+  EXPECT_TRUE(std::holds_alternative<std::monostate>(
+      pass_options({steer::Scheme::kParallelOp, 0}, aware)));
+}
+
+// The autotune_search --smoke grid (bench/autotune_search.cpp: 576
+// machines x 5 schemes) needs 12 distinct pass inputs per trace: OB per
+// (cluster count, issue width), RHOP per cluster count, and VC(2) per
+// (link latency, issue width). scripts/ci_gates.sh's model gate asserts the
+// sweep runs 2 traces x 12 passes.
+TEST(AnnotationMemo, AutotuneGridHasTwelvePassInputsPerTrace) {
+  std::set<PassOptions> pass_inputs;
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                                Topology::kRing, Topology::kCrossbar}) {
+      for (const std::uint32_t iq : {16u, 32u, 48u, 64u}) {
+        for (const std::uint32_t link : {1u, 2u, 4u}) {
+          for (const std::uint32_t bw : {1u, 2u, ~0u}) {
+            for (const std::uint32_t width : {2u, 3u}) {
+              MachineConfig machine = clusters == 2
+                                          ? MachineConfig::two_cluster()
+                                          : MachineConfig::four_cluster();
+              machine.interconnect.kind = topo;
+              machine.iq_int_entries = iq;
+              machine.iq_fp_entries = iq;
+              machine.interconnect.link_latency = link;
+              machine.interconnect.copies_per_link_cycle = bw;
+              machine.issue_width_int = width;
+              machine.issue_width_fp = width;
+              for (const SchemeSpec& spec :
+                   {SchemeSpec{steer::Scheme::kOp, 0},
+                    SchemeSpec{steer::Scheme::kOb, 0},
+                    SchemeSpec{steer::Scheme::kRhop, 0},
+                    SchemeSpec{steer::Scheme::kVc, 2},
+                    SchemeSpec{steer::Scheme::kParallelOp, 0}}) {
+                const PassOptions options = pass_options(spec, machine);
+                if (!std::holds_alternative<std::monostate>(options)) {
+                  pass_inputs.insert(options);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pass_inputs.size(), 4u + 2u + 6u);
 }
 
 }  // namespace
