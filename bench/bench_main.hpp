@@ -564,6 +564,7 @@ class Output {
     experiments_ += sweep.experiments;
     trace_builds_ += sweep.trace_builds;
     annotations_ += sweep.annotations;
+    sims_reused_ += sweep.sims_reused;
     phases_ += sweep.phases;
     for (const auto& [label, span] : sweep.scheme_simulate_s) {
       schemes_[label].simulate_s += span;
@@ -580,6 +581,7 @@ class Output {
     cache_hits_ += sweep.cache_hits - read_back;
     corrupt_ += sweep.cache_corrupt;
     annotations_ += sweep.annotations;
+    sims_reused_ += sweep.sims_reused;
     for (const harness::RunResult& r : sweep.points()) {
       uops_ += r.committed_uops;
       cycles_ += r.cycles;
@@ -631,6 +633,7 @@ class Output {
     summary.cache_hits = cache_hits_;
     summary.corrupt_recovered = corrupt_;
     summary.annotations = annotations_;
+    summary.sims_reused = sims_reused_;
     summary.uops = uops_;
     summary.cycles = cycles_;
     summary.experiments = experiments_;
@@ -663,6 +666,7 @@ class Output {
   std::size_t cache_hits_ = 0;
   std::size_t corrupt_ = 0;
   std::size_t annotations_ = 0;
+  std::size_t sims_reused_ = 0;
   std::uint64_t uops_ = 0;
   std::uint64_t cycles_ = 0;
   std::size_t experiments_ = 0;

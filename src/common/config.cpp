@@ -1,5 +1,6 @@
 #include "common/config.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 namespace vcsteer {
@@ -69,13 +70,14 @@ std::string MachineConfig::validate() const {
     if (!is_pow2(c->num_sets())) return "cache set count must be a power of two";
     if (!is_pow2(c->line_bytes)) return "cache line size must be a power of two";
   }
-  if (op_occupancy_threshold <= 0.0 || op_occupancy_threshold > 1.0)
+  // Written so that NaN fails: every comparison with NaN is false.
+  if (!(op_occupancy_threshold > 0.0 && op_occupancy_threshold <= 1.0))
     return "op_occupancy_threshold must be in (0, 1]";
   if (interconnect.link_latency == 0) return "link_latency must be > 0";
   if (interconnect.copies_per_link_cycle == 0)
     return "copies_per_link_cycle must be > 0";
-  if (steer.contention_weight < 0.0)
-    return "steer.contention_weight must be >= 0";
+  if (!std::isfinite(steer.contention_weight) || steer.contention_weight < 0.0)
+    return "steer.contention_weight must be finite and >= 0";
   return "";
 }
 

@@ -4,6 +4,7 @@
 // the simulator is read from this struct so that benches can sweep them.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -29,6 +30,8 @@ struct TopologyConfig {
   /// Copies one link accepts per cycle. kIdeal ignores it (infinite); for
   /// the other topologies use ~0u to model an unlimited link.
   std::uint32_t copies_per_link_cycle = 1;
+
+  auto operator<=>(const TopologyConfig&) const = default;
 };
 
 /// Links a copy from `from` to `to` traverses on a `kind` fabric with
@@ -52,6 +55,8 @@ struct SteerConfig {
   /// Weight of the observed-congestion term (recent per-link wait EWMA,
   /// cycles) relative to the static hop cost in the topology-aware score.
   double contention_weight = 1.0;
+
+  auto operator<=>(const SteerConfig&) const = default;
 };
 
 /// Cache geometry + timing for one level of the hierarchy.
@@ -64,6 +69,8 @@ struct CacheConfig {
   std::uint32_t num_sets() const {
     return size_bytes / (line_bytes * associativity);
   }
+
+  auto operator<=>(const CacheConfig&) const = default;
 };
 
 /// Full machine description. Defaults reproduce Table 2 with 2 clusters.
@@ -118,9 +125,15 @@ struct MachineConfig {
   /// Human-readable one-line summary, e.g. "2-cluster, 48/48/24 IQ".
   std::string summary() const;
 
-  /// Validate invariants (non-zero widths, power-of-two cache sets, ...).
-  /// Returns an empty string when valid, else a description of the problem.
+  /// Validate invariants (non-zero widths, power-of-two cache sets, finite
+  /// weights, ...). Returns an empty string when valid, else a description
+  /// of the problem.
   std::string validate() const;
+
+  /// Memberwise, in declaration order. A partial order only because of the
+  /// two doubles; validate() rejects NaN in both, so valid configs compare
+  /// as a strict weak order and can key a map (harness::SimKey).
+  auto operator<=>(const MachineConfig&) const = default;
 };
 
 }  // namespace vcsteer

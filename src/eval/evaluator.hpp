@@ -16,8 +16,9 @@
 // distinct model::WalkConfig and annotation. Both share one materialised
 // trace (harness::TraceArtefact) across cells: its annotated programs per
 // software-pass input, which both backends read, the simulator its warmed
-// cache hierarchy per simulation point and cache geometry, the model its
-// functional memory replay per cache geometry.
+// cache hierarchy per simulation point and cache geometry and its results
+// per harness::SimKey, the model its functional memory replay per cache
+// geometry.
 // exec::run_sweep's two-stage pruned mode (--prune-model K) estimates every
 // grid point with ModelEvaluator and spends SimEvaluator only on the top-K
 // frontier.
@@ -69,6 +70,9 @@ struct EvalResponse {
   /// OB/RHOP/VC pass runs this call made: pass inputs the trace had not
   /// annotated before (harness::TraceArtefact::annotation).
   std::size_t annotations = 0;
+  /// Sim backend only: results served by an identical simulation another
+  /// request on the trace ran (harness::TraceArtefact::simulation).
+  std::size_t sims_reused = 0;
   /// Model backend only: results whose critical-path walk ran in this call,
   /// and results served from an earlier call's identical walk.
   std::size_t walked = 0;

@@ -16,6 +16,7 @@ EvalResponse SimEvaluator::evaluate(const EvalRequest& request) {
   response.phases += experiment.phases();
   response.scheme_simulate_s = experiment.scheme_simulate_s();
   response.annotations = experiment.annotations();
+  response.sims_reused = experiment.sims_reused();
   return response;
 }
 

@@ -20,7 +20,7 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"cache_hits\":" << s.cache_hits
      << ",\"corrupt_recovered\":" << s.corrupt_recovered
      << ",\"uops\":" << s.uops << ",\"annotations\":" << s.annotations
-     << "}"
+     << ",\"sims_reused\":" << s.sims_reused << "}"
      << ",\"phases\":{\"trace_build_s\":" << num(s.phases.trace_build)
      << ",\"annotate_s\":" << num(s.phases.annotate)
      << ",\"warmup_s\":" << num(s.phases.warmup)

@@ -49,6 +49,11 @@ struct RunSummary {
   /// OB/RHOP/VC pass runs across all sweeps of this run
   /// (SweepResult::annotations).
   std::size_t annotations = 0;
+  /// Of the `simulated` points, those served by an identical simulation
+  /// (same trace and harness::SimKey) earlier in the same sweep instead of
+  /// running their own cycle loops (SweepResult::sims_reused). A subset of
+  /// `simulated`, so simulated + cache_hits == points still holds.
+  std::size_t sims_reused = 0;
   /// Committed micro-ops summed over this run's available points (simulated
   /// or cache-served). On a cold single-process run this is the simulated
   /// uop volume, which the perf gate divides by wall_seconds for kuops/s
@@ -112,7 +117,7 @@ struct RunSummary {
 /// One-line JSON document:
 ///   {"bench":...,"ok":...,"wall_seconds":...,
 ///    "sweep":{"points","simulated","cache_hits","corrupt_recovered","uops",
-///             "annotations"},
+///             "annotations","sims_reused"},
 ///    "phases":{"trace_build_s","annotate_s","warmup_s","simulate_s",
 ///              "walk_s","cache_io_s"},
 ///    "schemes":{label:{"uops","simulate_s"}...},

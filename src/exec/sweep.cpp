@@ -204,6 +204,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   std::atomic<std::size_t> cache_corrupt{0};
   std::atomic<std::size_t> experiments{0};
   std::atomic<std::size_t> annotations{0};
+  std::atomic<std::size_t> sims_reused{0};
   std::atomic<std::size_t> jobs_done{0};
   std::mutex progress_mutex;
   std::mutex phases_mutex;
@@ -410,6 +411,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       eval::EvalResponse response = sim_evaluator.evaluate(request);
       experiments.fetch_add(1, std::memory_order_relaxed);
       annotations.fetch_add(response.annotations, std::memory_order_relaxed);
+      sims_reused.fetch_add(response.sims_reused, std::memory_order_relaxed);
       for (std::size_t i = 0; i < missing.size(); ++i) {
         const std::size_t s = missing[i];
         result.slot(t, m, s) = std::move(response.results[i]);
@@ -470,8 +472,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
       }
       for (auto& f : futures) f.get();
     }
-    result.skipped =
-        (total_jobs - jobs_pulled.load()) * grid.schemes.size();
   } else if (opt.jobs <= 1 || num_jobs <= 1) {
     for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
       for (std::size_t m = 0; m < grid.machines.size(); ++m) {
@@ -553,6 +553,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   result.jobs_pulled = jobs_pulled.load();
   result.simulated = simulated.load();
   result.cache_hits = cache_hits.load();
+  result.sims_reused = sims_reused.load();
   result.cache_corrupt = cache_corrupt.load();
   result.experiments = experiments.load();
   result.annotations = annotations.load();

@@ -6,7 +6,8 @@
 // core across schemes — and runs the jobs on a ThreadPool. The jobs of one
 // trace share its harness::TraceArtefact (workload, simulation points,
 // intervals, warm-state snapshots, annotated programs per software-pass
-// input): the first job that needs it builds it,
+// input, simulation results per harness::SimKey): the first job that needs
+// it builds it,
 // and the sweep drops it after the trace's last job. The artefact is
 // immutable and every RNG a job touches is seeded from the profile itself,
 // so results are bit-identical no matter how many workers run or in which
@@ -78,8 +79,8 @@ struct SweepOptions {
   /// Pull-mode scheduling: when set, workers acquire() jobs from this queue
   /// until it drains instead of enumerating the whole grid. Jobs executed
   /// here count into SweepResult::jobs_pulled; cells this worker never
-  /// pulled stay default-initialised (count in `skipped`) and are assembled
-  /// from the shared store afterwards. Not owned.
+  /// pulled stay default-initialised and are assembled from the shared
+  /// store afterwards. Not owned.
   JobQueue* queue = nullptr;
   /// Extra salt added to every profile's seed_salt (--seed): shifts the
   /// whole sweep to a different deterministic universe.
@@ -144,9 +145,12 @@ class SweepResult {
   /// Points actually simulated / served from the cache in this run.
   std::size_t simulated = 0;
   std::size_t cache_hits = 0;
-  /// Points left untouched in queue mode because another worker pulled
-  /// their job.
-  std::size_t skipped = 0;
+  /// Of the simulated points, those served by an identical simulation
+  /// earlier in this run: same trace and harness::SimKey as a point whose
+  /// cycle loops ran (TraceArtefact::simulation). On a sweep that builds
+  /// each trace once, simulated - sims_reused is the number of distinct
+  /// (trace, sim key) pairs among the simulated points.
+  std::size_t sims_reused = 0;
   /// Cache entries found truncated/garbled (e.g. a worker killed mid-run on
   /// a pre-fsync cache); each was deleted and the point re-simulated, so
   /// these also count in `simulated`.

@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "mem/hierarchy.hpp"
 #include "sim/core.hpp"
+#include "sim/interconnect.hpp"
 #include "steer/vc_policy.hpp"
 #include "workload/trace.hpp"
 
@@ -192,6 +193,43 @@ PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine) {
   }
 }
 
+SimKey sim_key(const SchemeSpec& spec, const MachineConfig& machine,
+               std::size_t annotation_id) {
+  const MachineConfig defaults;
+  SimKey key;
+  key.scheme = spec.scheme;
+  if (spec.scheme == steer::Scheme::kVc) {
+    key.num_vcs = spec.num_vcs == 0 ? machine.num_clusters : spec.num_vcs;
+  }
+  key.annotation = annotation_id;
+  MachineConfig& m = key.machine;
+  m = machine;
+  if (sim::contention_free(machine)) {
+    m.interconnect.kind = Topology::kIdeal;
+    m.interconnect.copies_per_link_cycle =
+        defaults.interconnect.copies_per_link_cycle;
+    m.steer.contention_weight = defaults.steer.contention_weight;
+  }
+  switch (spec.scheme) {
+    case steer::Scheme::kOp:
+    case steer::Scheme::kParallelOp:
+      break;  // OpPolicy reads steer.* and op_occupancy_threshold.
+    case steer::Scheme::kVc:
+      m.op_occupancy_threshold = defaults.op_occupancy_threshold;
+      break;
+    case steer::Scheme::kOb:
+    case steer::Scheme::kRhop:
+    case steer::Scheme::kOneCluster:
+      m.steer = defaults.steer;
+      m.op_occupancy_threshold = defaults.op_occupancy_threshold;
+      break;
+  }
+  if (!m.steer.topology_aware) {
+    m.steer.contention_weight = defaults.steer.contention_weight;
+  }
+  return key;
+}
+
 void annotate_for_scheme(prog::Program& program, const SchemeSpec& spec,
                          const MachineConfig& machine) {
   annotate(program, pass_options(spec, machine));
@@ -301,6 +339,24 @@ const TraceArtefact::Annotation& TraceArtefact::annotation(
   return slot->annotation;
 }
 
+const RunResult& TraceArtefact::simulation(
+    const SimKey& key, const std::function<RunResult()>& simulate,
+    bool* simulated) const {
+  SimulationSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(simulations_mutex_);
+    std::unique_ptr<SimulationSlot>& entry = simulations_[key];
+    if (!entry) entry = std::make_unique<SimulationSlot>();
+    slot = entry.get();
+  }
+  *simulated = false;
+  std::call_once(slot->once, [&] {
+    slot->result = simulate();
+    *simulated = true;
+  });
+  return slot->result;
+}
+
 TraceExperiment::TraceExperiment(std::shared_ptr<const TraceArtefact> trace,
                                  const MachineConfig& machine)
     : trace_(std::move(trace)), machine_(machine) {}
@@ -321,19 +377,41 @@ prog::Program& TraceExperiment::program() {
   return *program_;
 }
 
+const std::vector<mem::MemoryHierarchy>& TraceExperiment::warmed() {
+  if (warmed_ == nullptr) {
+    double warm_s = 0;
+    warmed_ = &trace_->warm_snapshots(machine_, &warm_s);
+    phases_.warmup_s += warm_s;
+  }
+  return *warmed_;
+}
+
 RunResult TraceExperiment::eval_spec(const SchemeSpec& spec) {
   double annotate_s = 0;
   std::size_t passes = 0;
   const TraceArtefact::Annotation& annotated = trace_->annotation(
       pass_options(spec, machine_), &annotate_s, &passes);
   annotations_ += passes;
-  // The core reads hints through its reference to this cell's program, so
-  // the shared annotation's hints are copied in rather than referenced.
-  const Clock::time_point t0 = Clock::now();
-  program().copy_hints(annotated.program);
-  phases_.annotate_s += annotate_s + seconds_since(t0);
-  const auto policy = policy_for_scheme(spec, machine_);
-  return run_annotated(*policy, spec.label(machine_));
+  phases_.annotate_s += annotate_s;
+  // Taken before the simulation memo's once-flag, so that a simulating job
+  // never waits on another flag (see TraceArtefact).
+  warmed();
+  bool simulated = false;
+  const RunResult& result = trace_->simulation(
+      sim_key(spec, machine_, annotated.id),
+      [&] {
+        // The core reads hints through its reference to this cell's
+        // program, so the shared annotation's hints are copied in rather
+        // than referenced.
+        const Clock::time_point t0 = Clock::now();
+        program().copy_hints(annotated.program);
+        phases_.annotate_s += seconds_since(t0);
+        const auto policy = policy_for_scheme(spec, machine_);
+        return run_annotated(*policy, spec.label(machine_));
+      },
+      &simulated);
+  if (!simulated) ++sims_reused_;
+  return result;
 }
 
 RunResult TraceExperiment::eval_custom(steer::SteeringPolicy& policy,
@@ -365,18 +443,16 @@ RunResult TraceExperiment::run_annotated(steer::SteeringPolicy& policy,
   // point reuses it, reset in place per run.
   if (!core_) {
     core_ = std::make_unique<sim::ClusteredCore>(machine_, program());
-    double warm_s = 0;
-    warmed_ = &trace_->warm_snapshots(machine_, &warm_s);
-    phases_.warmup_s += warm_s;
   }
   sim::ClusteredCore& core = *core_;
+  const std::vector<mem::MemoryHierarchy>& warm = warmed();
   const std::vector<workload::SimPoint>& points = trace_->simpoints();
   WeightedAccum acc(trace_->workload().profile.name, std::move(label),
                     points.size(), machine_.num_clusters);
   sim::RunPhases run_phases;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const sim::SimStats stats = core.run(trace_->intervals()[i], policy,
-                                         (*warmed_)[i], &run_phases);
+    const sim::SimStats stats =
+        core.run(trace_->intervals()[i], policy, warm[i], &run_phases);
     // Harvest the run's observer sink before the next run() re-arms it.
     acc.add_point(points[i].weight, stats, core.observer(),
                   machine_.num_clusters);

@@ -12,9 +12,15 @@
 // passes' outputs, once keyed by what a pass reads: pass_options() reduces
 // a (scheme, machine) pair to the options of its pass, and the artefact
 // runs each distinct pass input once and shares the annotated program with
-// every machine, scheme and evaluator of the trace. A TraceExperiment is
-// one (trace, machine) cell on top of it: a program copy carrying the
-// current request's hints and the simulated core.
+// every machine, scheme and evaluator of the trace. Many machines are the
+// same machine to the simulator — a fabric on which no copy ever waits,
+// steering knobs the scheme's hardware never reads — so sim_key() reduces a
+// (scheme, machine, annotation) request to everything a simulation reads,
+// and the artefact runs each distinct key's cycle loops once and shares the
+// RunResult with every machine of the trace. A TraceExperiment is one
+// (trace, machine) cell on top of it: a program copy carrying the current
+// request's hints and the simulated core, both made only when a request
+// actually simulates.
 #pragma once
 
 #include <array>
@@ -172,15 +178,40 @@ struct PhaseTimes {
 using PassOptions = std::variant<std::monostate, compiler::ObOptions,
                                  compiler::RhopOptions, compiler::VcOptions>;
 
+/// Everything the simulation of one built-in scheme reads, for sharing one
+/// RunResult between requests: a pure function of (SchemeSpec,
+/// MachineConfig, annotation id) — see sim_key(). Two requests on one trace
+/// with equal keys simulate to the same bits.
+struct SimKey {
+  steer::Scheme scheme = steer::Scheme::kOp;
+  /// Virtual clusters of the VC scheme (SchemeSpec::num_vcs resolved); 0
+  /// for every other scheme, whose hardware and label do not read it.
+  std::uint32_t num_vcs = 0;
+  /// TraceArtefact::Annotation::id of the request's hints.
+  std::size_t annotation = 0;
+  /// The machine with every field the run provably does not read reset to
+  /// its default: see sim_key().
+  MachineConfig machine;
+
+  auto operator<=>(const SimKey&) const = default;
+};
+
 /// The machine-independent part of one trace, a function of (profile with
 /// its seed salt, budget) alone: the unannotated workload, the PinPoints
 /// simulation points, each point's materialised interval and the memory
 /// addresses preceding it. Immutable once built, so one artefact is shared
 /// by every TraceExperiment and evaluator of the trace, from any thread.
-/// Two memos grow on it, each entry built once by its first caller: warm
-/// cache snapshots per cache geometry, and annotated programs per pass
-/// input (PassOptions). So a sweep runs each software pass once per
-/// (trace, pass input), not once per (machine, scheme) request.
+/// Three memos grow on it, each entry built once by its first caller: warm
+/// cache snapshots per cache geometry, annotated programs per pass input
+/// (PassOptions), and simulation results per SimKey. So a sweep runs each
+/// software pass once per (trace, pass input) and each cycle loop once per
+/// (trace, sim key), not once per (machine, scheme) request.
+///
+/// Each memo entry is built under its own std::once_flag, and no builder
+/// waits on another flag while it holds one: TraceExperiment fetches a
+/// request's annotation and warm snapshots before it enters the
+/// simulation's flag. A job so holds at most one once-flag at a time, and
+/// concurrent jobs cannot deadlock on each other's entries.
 class TraceArtefact {
  public:
   TraceArtefact(const workload::WorkloadProfile& profile,
@@ -228,6 +259,14 @@ class TraceArtefact {
   const Annotation& annotation(const PassOptions& options, double* annotate_s,
                                std::size_t* passes) const;
 
+  /// The result of simulating `key`: `simulate()` on the first call per
+  /// distinct key (concurrent callers wait for it), kept for the artefact's
+  /// lifetime. `*simulated` tells whether this call ran it. `simulate` must
+  /// not enter another of this artefact's memos (see the class comment).
+  const RunResult& simulation(const SimKey& key,
+                              const std::function<RunResult()>& simulate,
+                              bool* simulated) const;
+
  private:
   /// Size, associativity and line size of L1D, then of L2: everything
   /// functional warming reads (mem::MemoryHierarchy::warm_compatible).
@@ -255,6 +294,13 @@ class TraceArtefact {
   /// One published annotation per distinct hint content; Annotation::id
   /// indexes it.
   mutable std::vector<const Annotation*> interned_;
+
+  struct SimulationSlot {
+    std::once_flag once;
+    RunResult result;
+  };
+  mutable std::mutex simulations_mutex_;  ///< guards the map, not the slots.
+  mutable std::map<SimKey, std::unique_ptr<SimulationSlot>> simulations_;
 };
 
 class TraceExperiment {
@@ -271,7 +317,9 @@ class TraceExperiment {
 
   /// THE evaluation entry point: every request — built-in scheme or custom
   /// policy — of one (trace, machine) cell in one call, each simulated on
-  /// its own over every simulation point. Results come back in request
+  /// its own over every simulation point, or served from the trace's
+  /// simulation memo when any machine of the trace already simulated its
+  /// SimKey (custom policies always simulate). Results come back in request
   /// order and do not depend on how requests are split across calls.
   std::vector<RunResult> evaluate(std::span<const SchemeRequest> requests);
 
@@ -290,7 +338,8 @@ class TraceExperiment {
   }
   const MachineConfig& machine() const { return machine_; }
   /// Wall-clock spans accumulated over this experiment's lifetime
-  /// (construction + every run so far).
+  /// (construction + every run so far). Requests served from the simulation
+  /// memo bill no warm-up or simulate time.
   const PhaseTimes& phases() const { return phases_; }
   /// Simulate span per scheme label (each run's own cycle-loop span). Lets
   /// callers derive honest per-scheme throughput instead of dividing one
@@ -301,6 +350,9 @@ class TraceExperiment {
   /// OB/RHOP/VC pass runs this experiment made: requests whose pass input
   /// the trace had not annotated before.
   std::size_t annotations() const { return annotations_; }
+  /// Built-in requests served by an identical simulation another request of
+  /// the trace ran (TraceArtefact::simulation).
+  std::size_t sims_reused() const { return sims_reused_; }
 
  private:
   /// Weighted simulation of all points under an already-annotated program.
@@ -313,22 +365,25 @@ class TraceExperiment {
                         const std::string& label);
   /// program_, copied from the trace on first use.
   prog::Program& program();
+  /// warmed_, fetched from the trace on first use.
+  const std::vector<mem::MemoryHierarchy>& warmed();
 
   std::shared_ptr<const TraceArtefact> trace_;
   MachineConfig machine_;
   PhaseTimes phases_;
   std::map<std::string, double> scheme_simulate_s_;
   std::size_t annotations_ = 0;
+  std::size_t sims_reused_ = 0;
   /// This cell's copy of the program, carrying the current request's hints
   /// (copied from the trace's annotation).
   std::optional<prog::Program> program_;
   /// One core over *program_ whose pools, value table and cache arrays
   /// persist across every run of this experiment, reset in place instead
-  /// of reconstructed. Built on the first run, so cache-served experiments
-  /// never allocate it.
+  /// of reconstructed. Built on the first run, so experiments whose
+  /// requests are all cache- or memo-served never allocate it.
   std::unique_ptr<sim::ClusteredCoreT<sim::StatsObserver>> core_;
   /// The trace's warm-state snapshots for this machine's cache geometry,
-  /// fetched on the first run: every run adopts its point's snapshot
+  /// fetched on the first request: every run adopts its point's snapshot
   /// instead of replaying the addresses.
   const std::vector<mem::MemoryHierarchy>* warmed_ = nullptr;
 };
@@ -358,6 +413,22 @@ double min_comm_cost(const std::vector<double>& matrix, std::uint32_t n);
 /// and VC options carry the per-pair topology matrix instead of only the
 /// flat nearest-neighbour scalar.
 PassOptions pass_options(const SchemeSpec& spec, const MachineConfig& machine);
+
+/// The SimKey of simulating `spec` on `machine` under the annotation
+/// `annotation_id`. The key's machine is `machine` with these fields folded
+/// to their defaults, each provably unread by the run:
+///   * a contention_free() fabric becomes kIdeal with the default
+///     copies_per_link_cycle, and its steer.contention_weight folds too:
+///     link congestion is exactly 0.0 there, and w x 0.0 adds nothing for
+///     a finite w >= 0;
+///   * steer.contention_weight without steer.topology_aware: only the
+///     topology-aware scores read it;
+///   * steer.* for OB, RHOP and one-cluster, whose hardware policies read
+///     no configuration (the OB pass's use of topology_aware is in the
+///     annotation id);
+///   * op_occupancy_threshold for every scheme but OP and OP-parallel.
+SimKey sim_key(const SchemeSpec& spec, const MachineConfig& machine,
+               std::size_t annotation_id);
 
 /// Runs the software pass of `spec` over `program` (clearing previous
 /// hints): annotate(program, pass_options(spec, machine)).

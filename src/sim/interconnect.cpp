@@ -190,4 +190,22 @@ std::unique_ptr<Interconnect> make_interconnect(const MachineConfig& config) {
   VCSTEER_CHECK_MSG(false, "unknown interconnect topology");
 }
 
+bool contention_free(const MachineConfig& config) {
+  // 64-bit: an unlimited link is ~0u, and num_clusters x issue_width_copy
+  // must not wrap below it.
+  const std::uint64_t bandwidth = config.interconnect.copies_per_link_cycle;
+  const std::uint64_t per_cluster = config.issue_width_copy;
+  switch (config.interconnect.kind) {
+    case Topology::kIdeal:
+      return true;
+    case Topology::kCrossbar:
+      return bandwidth >= per_cluster;
+    case Topology::kBus:
+      return bandwidth >= std::uint64_t{config.num_clusters} * per_cluster;
+    case Topology::kRing:
+      return config.num_clusters <= 2 && bandwidth >= per_cluster;
+  }
+  return false;
+}
+
 }  // namespace vcsteer::sim

@@ -8,12 +8,21 @@
 //                 model: arrival = select + link_latency (+1 regfile write,
 //                 charged by the copy network, not here).
 //   * kCrossbar — dedicated link per ordered (src, dst) pair; each link
-//                 accepts copies_per_link_cycle copies per cycle. With an
-//                 unlimited link (~0u) it is bit-identical to kIdeal.
+//                 accepts copies_per_link_cycle copies per cycle.
 //   * kBus      — one shared medium: every copy in the machine arbitrates
 //                 for the same copies_per_link_cycle slots per cycle.
 //   * kRing     — unidirectional ring; a copy from c traverses links
 //                 c->c+1->... one hop at a time, arbitrating for each link.
+//
+// A fabric on which no copy can ever wait and every pair of distinct
+// clusters is one hop apart is bit-identical to kIdeal. Each cluster
+// injects at most issue_width_copy copies per cycle, so that holds for a
+// crossbar whose links take issue_width_copy copies per cycle (only `from`
+// injects onto link from->to), a bus that takes num_clusters x
+// issue_width_copy, and a 2-cluster ring whose links take issue_width_copy
+// (each link has one injector, and every path is one hop).
+// contention_free() states the condition; the simulation memo
+// (harness::sim_key) folds such fabrics into kIdeal.
 //
 // A copy that loses arbitration is buffered inside the network (its copy
 // queue slot and issue-width slot were already consumed at select time);
@@ -103,5 +112,13 @@ class Interconnect {
 };
 
 std::unique_ptr<Interconnect> make_interconnect(const MachineConfig& config);
+
+/// True when `config`'s fabric never makes a copy wait and places every
+/// pair of distinct clusters one hop apart: kIdeal, or a crossbar, bus or
+/// 2-cluster ring whose links take every copy the clusters can inject in a
+/// cycle (see the header comment). Every Interconnect built from such a
+/// config routes each copy exactly like kIdeal, with the same counters, and
+/// its congestion() stays exactly 0.0.
+bool contention_free(const MachineConfig& config);
 
 }  // namespace vcsteer::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -212,6 +213,32 @@ TEST(MachineConfig, ValidateCatchesBadValues) {
   cfg = MachineConfig();
   cfg.iq_copy_entries = 0;
   EXPECT_NE(cfg.validate(), "");
+}
+
+// Every comparison with NaN is false, so range checks written as "reject
+// when out of range" let NaN through. A NaN in a config breaks the strict
+// weak order of anything keyed by it, and an infinite weight times a zero
+// congestion is NaN, not 0.
+TEST(MachineConfig, ValidateRejectsNonFiniteWeights) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  MachineConfig cfg;
+  cfg.op_occupancy_threshold = nan;
+  EXPECT_NE(cfg.validate(), "");
+
+  cfg = MachineConfig();
+  cfg.steer.contention_weight = nan;
+  EXPECT_NE(cfg.validate(), "");
+
+  cfg = MachineConfig();
+  cfg.steer.contention_weight = inf;
+  EXPECT_NE(cfg.validate(), "");
+
+  cfg = MachineConfig();
+  cfg.steer.contention_weight = 0.0;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.op_occupancy_threshold = 1.0;
+  EXPECT_EQ(cfg.validate(), "");
 }
 
 TEST(MachineConfig, CacheSetCount) {

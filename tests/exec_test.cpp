@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "exec/cache.hpp"
 #include "exec/result_sink.hpp"
 #include "exec/sweep.hpp"
@@ -711,7 +712,6 @@ TEST(Sweep, QueueModeBitIdenticalToStaticRun) {
   pull.queue = &queue;
   const SweepResult pulled = run_sweep(grid, pull);
   EXPECT_EQ(pulled.jobs_pulled, njobs);
-  EXPECT_EQ(pulled.skipped, 0u);
   EXPECT_EQ(pulled.simulated, pulled.num_points());
   EXPECT_EQ(queue.completed().size(), njobs);
 
@@ -737,7 +737,11 @@ TEST(Sweep, QueueDrainLeavesUnpulledCellsForAssembly) {
   opt.queue = &queue;
   const SweepResult partial = run_sweep(grid, opt);
   EXPECT_EQ(partial.jobs_pulled, 1u);
-  EXPECT_EQ(partial.skipped, (njobs - 1) * grid.schemes.size());
+  std::size_t untouched = 0;
+  for (const harness::RunResult& r : partial.points()) {
+    if (r.trace.empty()) ++untouched;
+  }
+  EXPECT_EQ(untouched, (njobs - 1) * grid.schemes.size());
   EXPECT_EQ(partial.simulated, grid.schemes.size());
 
   // Assembly pass: no queue, same store — every missing cell must fill in,
@@ -791,16 +795,233 @@ TEST(ResultSink, JsonCarriesResultsAndTables) {
 }
 
 
+// ------------------------------------------------------- simulation memo ---
+//
+// Machines of one trace with equal harness::SimKey share one simulation.
+// Each test runs a grid as one sweep, where they do, and again one cell per
+// sweep, where nothing can be shared, and compares the two results JSON
+// documents byte for byte. A fold in sim_key that is not exact makes some
+// memo-served point differ from its own fresh simulation.
+
+// Small enough that a fresh trace per cell stays cheap.
+harness::SimBudget memo_budget() { return {24'000, 8'000, 2}; }
+
+std::string results_json(const std::vector<const SweepResult*>& sweeps) {
+  ResultSink sink("memo");
+  for (const SweepResult* sweep : sweeps) sink.add_sweep(*sweep);
+  std::ostringstream os;
+  sink.write_json(os);
+  return os.str();
+}
+
+/// Runs `grid` shared and cell by cell; returns the shared run's
+/// sims_reused.
+std::size_t expect_memo_matches_fresh(const SweepGrid& grid) {
+  const SweepResult shared = run_sweep(grid, SweepOptions{});
+  EXPECT_EQ(shared.simulated, shared.num_points());
+  std::vector<SweepResult> cells;
+  for (const workload::WorkloadProfile& profile : grid.profiles) {
+    for (const MachineConfig& machine : grid.machines) {
+      SweepGrid cell = grid;
+      cell.profiles = {profile};
+      cell.machines = {machine};
+      cells.push_back(run_sweep(cell, SweepOptions{}));
+      EXPECT_EQ(cells.back().sims_reused, 0u);
+    }
+  }
+  std::vector<const SweepResult*> fresh;
+  for (const SweepResult& cell : cells) fresh.push_back(&cell);
+  EXPECT_EQ(results_json({&shared}), results_json(fresh));
+  return shared.sims_reused;
+}
+
+std::vector<workload::WorkloadProfile> memo_profiles() {
+  const auto profiles = workload::smoke_profiles();
+  return {profiles.begin(), profiles.begin() + 1};
+}
+
+// bench/ablation_interconnect.cpp's machines: topology x {2, 4} clusters at
+// the Table 2 link, the link-latency sweep, and the 4-cluster machines
+// topology-aware at contention weights 1, 0.5 and 2.
+TEST(SimMemo, AblationInterconnectGridMatchesFresh) {
+  SweepGrid grid;
+  grid.profiles = memo_profiles();
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                                Topology::kRing, Topology::kCrossbar}) {
+      MachineConfig m = clusters == 2 ? MachineConfig::two_cluster()
+                                      : MachineConfig::four_cluster();
+      m.interconnect.kind = topo;
+      grid.machines.push_back(m);
+    }
+  }
+  for (const std::uint32_t link : {2u, 4u, 8u}) {
+    MachineConfig m = MachineConfig::two_cluster();
+    m.interconnect.link_latency = link;
+    grid.machines.push_back(m);
+  }
+  for (const double weight : {1.0, 0.5, 2.0}) {
+    for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                                Topology::kRing, Topology::kCrossbar}) {
+      MachineConfig m = MachineConfig::four_cluster();
+      m.interconnect.kind = topo;
+      m.steer.topology_aware = true;
+      m.steer.contention_weight = weight;
+      grid.machines.push_back(m);
+    }
+  }
+  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
+                  harness::SchemeSpec{steer::Scheme::kOb, 0},
+                  harness::SchemeSpec{steer::Scheme::kRhop, 0},
+                  harness::SchemeSpec{steer::Scheme::kVc, 2}};
+  grid.budget = memo_budget();
+  EXPECT_GT(expect_memo_matches_fresh(grid), 0u);
+}
+
+// perfbench's sim-fabric machines (4-cluster bus, ring and crossbar at one
+// copy per link-cycle, topology-aware off and on): only RHOP, whose
+// hardware reads no steering knob, shares.
+TEST(SimMemo, SimFabricGridMatchesFresh) {
+  SweepGrid grid;
+  grid.profiles = memo_profiles();
+  for (const bool aware : {false, true}) {
+    for (const Topology kind :
+         {Topology::kBus, Topology::kRing, Topology::kCrossbar}) {
+      MachineConfig m = MachineConfig::four_cluster();
+      m.interconnect.kind = kind;
+      m.steer.topology_aware = aware;
+      grid.machines.push_back(m);
+    }
+  }
+  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
+                  harness::SchemeSpec{steer::Scheme::kParallelOp, 0},
+                  harness::SchemeSpec{steer::Scheme::kVc, 2},
+                  harness::SchemeSpec{steer::Scheme::kRhop, 0}};
+  grid.budget = memo_budget();
+  EXPECT_EQ(expect_memo_matches_fresh(grid), 3u);
+}
+
+// perfbench's model-search machines: every topology at (1-cycle, unlimited)
+// and (2-cycle, 1 copy) links, on 2 and 4 clusters.
+TEST(SimMemo, ModelSearchGridMatchesFresh) {
+  SweepGrid grid;
+  grid.profiles = memo_profiles();
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                                Topology::kRing, Topology::kCrossbar}) {
+      for (const auto& [latency, bandwidth] :
+           {std::pair{1u, ~0u}, std::pair{2u, 1u}}) {
+        MachineConfig m = clusters == 2 ? MachineConfig::two_cluster()
+                                        : MachineConfig::four_cluster();
+        m.interconnect.kind = topo;
+        m.interconnect.link_latency = latency;
+        m.interconnect.copies_per_link_cycle = bandwidth;
+        grid.machines.push_back(m);
+      }
+    }
+  }
+  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
+                  harness::SchemeSpec{steer::Scheme::kOb, 0},
+                  harness::SchemeSpec{steer::Scheme::kRhop, 0},
+                  harness::SchemeSpec{steer::Scheme::kVc, 2},
+                  harness::SchemeSpec{steer::Scheme::kParallelOp, 0}};
+  grid.budget = memo_budget();
+  EXPECT_GT(expect_memo_matches_fresh(grid), 0u);
+}
+
+// Seeded random legal machines, each with its fabric at and one copy below
+// every fold boundary: a bus at num_clusters x issue_width_copy, crossbars
+// and rings at issue_width_copy (the 2-cluster ring folds, the 3-cluster
+// one never does), plus copies that differ only in a folded steering knob.
+TEST(SimMemo, RandomMachinesAtTheFoldBoundariesMatchFresh) {
+  Rng rng("sim-memo", 1);
+  SweepGrid grid;
+  grid.profiles = memo_profiles();
+  for (const std::uint32_t clusters : {2u, 3u}) {
+    for (const std::uint32_t copy_width : {1u, 2u}) {
+      MachineConfig base = MachineConfig::two_cluster();
+      base.num_clusters = clusters;
+      base.issue_width_copy = copy_width;
+      base.iq_int_entries = base.iq_fp_entries =
+          static_cast<std::uint32_t>(16 << rng.below(3));
+      base.iq_copy_entries = static_cast<std::uint32_t>(4 << rng.below(3));
+      base.issue_width_int = base.issue_width_fp =
+          static_cast<std::uint32_t>(rng.range(1, 3));
+      base.interconnect.link_latency =
+          static_cast<std::uint32_t>(rng.range(1, 3));
+      base.steer.topology_aware = rng.chance(0.5);
+      base.steer.contention_weight = 0.5 * static_cast<double>(rng.below(5));
+      base.op_occupancy_threshold = 0.25 * static_cast<double>(rng.range(1, 4));
+      auto add = [&](Topology kind, std::uint64_t bandwidth) {
+        if (bandwidth == 0) return;
+        MachineConfig m = base;
+        m.interconnect.kind = kind;
+        m.interconnect.copies_per_link_cycle =
+            static_cast<std::uint32_t>(bandwidth);
+        ASSERT_EQ(m.validate(), "");
+        grid.machines.push_back(m);
+      };
+      add(Topology::kIdeal, 1);
+      add(Topology::kBus, clusters * copy_width);
+      add(Topology::kBus, clusters * copy_width - 1);
+      add(Topology::kCrossbar, copy_width);
+      add(Topology::kCrossbar, copy_width - 1);
+      add(Topology::kRing, copy_width);
+      add(Topology::kRing, copy_width - 1);
+      MachineConfig reweighted = base;
+      reweighted.steer.contention_weight += 1.5;
+      reweighted.op_occupancy_threshold = 1.0;
+      grid.machines.push_back(reweighted);
+    }
+  }
+  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
+                  harness::SchemeSpec{steer::Scheme::kOb, 0},
+                  harness::SchemeSpec{steer::Scheme::kVc, 2}};
+  grid.budget = memo_budget();
+  EXPECT_GT(expect_memo_matches_fresh(grid), 0u);
+}
+
+// Jobs of machines that share sim keys race for the same memo entries: the
+// result is the serial run's, and so is the count of shared simulations.
+TEST(SimMemo, ParallelSweepOverSharedKeysMatchesSerial) {
+  SweepGrid grid;
+  grid.profiles = memo_profiles();
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const Topology topo : {Topology::kIdeal, Topology::kBus,
+                                Topology::kRing, Topology::kCrossbar}) {
+      MachineConfig m = clusters == 2 ? MachineConfig::two_cluster()
+                                      : MachineConfig::four_cluster();
+      m.interconnect.kind = topo;
+      m.interconnect.copies_per_link_cycle = ~0u;
+      grid.machines.push_back(m);
+    }
+  }
+  grid.schemes = {harness::SchemeSpec{steer::Scheme::kOp, 0},
+                  harness::SchemeSpec{steer::Scheme::kRhop, 0}};
+  grid.budget = memo_budget();
+  SweepOptions parallel;
+  parallel.jobs = 4;
+  const SweepResult serial = run_sweep(grid, SweepOptions{});
+  const SweepResult racing = run_sweep(grid, parallel);
+  EXPECT_EQ(results_json({&serial}), results_json({&racing}));
+  // Unlimited links never wait: ideal, bus, crossbar and the 2-cluster
+  // ring are one machine; the 4-cluster ring is not.
+  EXPECT_EQ(serial.sims_reused, 2u * (3 + 2));
+  EXPECT_EQ(racing.sims_reused, serial.sims_reused);
+  EXPECT_EQ(racing.simulated, racing.num_points());
+}
+
 TEST(RunSummary, JsonCarriesSweepCounters) {
   RunSummary s;
   s.bench = "fig7_fourcluster";
   s.ok = true;
   s.wall_seconds = 1.5;
   s.points = 25;
-  s.simulated = 0;
-  s.cache_hits = 25;
+  s.simulated = 4;
+  s.cache_hits = 21;
   s.uops = 1500000;
   s.annotations = 24;
+  s.sims_reused = 3;
   s.phases.walk = 0.75;
   s.trace_builds = 3;
   s.traces = 3;
@@ -812,9 +1033,10 @@ TEST(RunSummary, JsonCarriesSweepCounters) {
   const std::string json = os.str();
   EXPECT_NE(json.find("\"bench\":\"fig7_fourcluster\""), std::string::npos);
   EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
-  EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":0,"
-                      "\"cache_hits\":25,\"corrupt_recovered\":0,"
-                      "\"uops\":1500000,\"annotations\":24}"),
+  EXPECT_NE(json.find("\"sweep\":{\"points\":25,\"simulated\":4,"
+                      "\"cache_hits\":21,\"corrupt_recovered\":0,"
+                      "\"uops\":1500000,\"annotations\":24,"
+                      "\"sims_reused\":3}"),
             std::string::npos);
   // The model's walks have their own phase, apart from the cycle loops.
   EXPECT_NE(json.find("\"simulate_s\":0,\"walk_s\":0.75,"), std::string::npos);

@@ -3,12 +3,15 @@
 // aggregation.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "sim/interconnect.hpp"
 #include "workload/profiles.hpp"
 
 namespace vcsteer::harness {
@@ -192,6 +195,37 @@ TEST(Experiment, RerunSameSchemeIsIdempotent) {
       run_one(experiment, SchemeSpec{steer::Scheme::kRhop, 0});
   EXPECT_DOUBLE_EQ(first.ipc, second.ipc);
   EXPECT_EQ(first.cycles, second.cycles);
+  // The rerun's sim key is the first run's: it is served, not simulated.
+  EXPECT_EQ(experiment.sims_reused(), 1u);
+}
+
+// A second machine over the same trace whose sim key equals the first's
+// takes the first one's result and bills no simulation; a custom policy
+// always simulates.
+TEST(Experiment, SameSimKeyOnAnotherMachineIsServedFromTheTrace) {
+  const auto trace =
+      std::make_shared<const TraceArtefact>(smoke_profile(), SimBudget{60'000, 15'000, 2});
+  MachineConfig bus = MachineConfig::two_cluster();
+  bus.interconnect.kind = Topology::kBus;
+  bus.interconnect.copies_per_link_cycle = 2;  // 2 clusters x 1 copy/cycle
+  TraceExperiment ideal_cell(trace, MachineConfig::two_cluster());
+  TraceExperiment bus_cell(trace, bus);
+  const RunResult ideal = run_one(ideal_cell, SchemeSpec{steer::Scheme::kOp, 0});
+  const RunResult served = run_one(bus_cell, SchemeSpec{steer::Scheme::kOp, 0});
+  EXPECT_EQ(ideal_cell.sims_reused(), 0u);
+  EXPECT_EQ(bus_cell.sims_reused(), 1u);
+  EXPECT_EQ(served.cycles, ideal.cycles);
+  EXPECT_EQ(served.ipc, ideal.ipc);
+  EXPECT_GT(ideal_cell.phases().simulate_s, 0.0);
+  EXPECT_EQ(bus_cell.phases().simulate_s, 0.0);
+  EXPECT_TRUE(bus_cell.scheme_simulate_s().empty());
+
+  const SchemeRequest custom("custom-op", [](const MachineConfig& m) {
+    return policy_for_scheme({steer::Scheme::kOp, 0}, m);
+  });
+  run_one(bus_cell, custom);
+  EXPECT_EQ(bus_cell.sims_reused(), 1u);
+  EXPECT_GT(bus_cell.phases().simulate_s, 0.0);
 }
 
 TEST(Experiment, CustomPolicyRequestMatchesBuiltinPath) {
@@ -393,6 +427,236 @@ TEST(AnnotationMemo, AutotuneGridHasTwelvePassInputsPerTrace) {
     }
   }
   EXPECT_EQ(pass_inputs.size(), 4u + 2u + 6u);
+}
+
+
+// ------------------------------------------------------------- sim key ---
+
+// Every MachineConfig field either changes the sim key or is folded, and
+// every fold is listed here with its reason. The fabric below is a 4-cluster
+// ring at one copy per link-cycle, which contends, with topology-aware
+// steering on; the folds that need a contention-free fabric or flat
+// steering are the two tests after this one.
+TEST(SimKey, EveryFieldChangesTheKeyUnlessFolded) {
+  MachineConfig machine = MachineConfig::four_cluster();
+  machine.interconnect.kind = Topology::kRing;
+  machine.steer.topology_aware = true;
+  using Mutation = std::pair<const char*, std::function<void(MachineConfig&)>>;
+  const std::vector<Mutation> mutations = {
+      {"fetch_width", [](MachineConfig& m) { m.fetch_width += 1; }},
+      {"fetch_to_dispatch", [](MachineConfig& m) { m.fetch_to_dispatch += 1; }},
+      {"decode_width_int", [](MachineConfig& m) { m.decode_width_int += 1; }},
+      {"decode_width_fp", [](MachineConfig& m) { m.decode_width_fp += 1; }},
+      {"rob_int_entries", [](MachineConfig& m) { m.rob_int_entries += 1; }},
+      {"rob_fp_entries", [](MachineConfig& m) { m.rob_fp_entries += 1; }},
+      {"commit_width_int", [](MachineConfig& m) { m.commit_width_int += 1; }},
+      {"commit_width_fp", [](MachineConfig& m) { m.commit_width_fp += 1; }},
+      {"num_clusters", [](MachineConfig& m) { m.num_clusters += 1; }},
+      {"iq_int_entries", [](MachineConfig& m) { m.iq_int_entries += 1; }},
+      {"iq_fp_entries", [](MachineConfig& m) { m.iq_fp_entries += 1; }},
+      {"iq_copy_entries", [](MachineConfig& m) { m.iq_copy_entries += 1; }},
+      {"issue_width_int", [](MachineConfig& m) { m.issue_width_int += 1; }},
+      {"issue_width_fp", [](MachineConfig& m) { m.issue_width_fp += 1; }},
+      {"issue_width_copy", [](MachineConfig& m) { m.issue_width_copy += 1; }},
+      {"regfile_int", [](MachineConfig& m) { m.regfile_int += 1; }},
+      {"regfile_fp", [](MachineConfig& m) { m.regfile_fp += 1; }},
+      {"interconnect.kind",
+       [](MachineConfig& m) { m.interconnect.kind = Topology::kBus; }},
+      {"interconnect.link_latency",
+       [](MachineConfig& m) { m.interconnect.link_latency += 1; }},
+      {"interconnect.copies_per_link_cycle",
+       [](MachineConfig& m) { m.interconnect.copies_per_link_cycle += 1; }},
+      {"steer.topology_aware",
+       [](MachineConfig& m) { m.steer.topology_aware = false; }},
+      {"steer.contention_weight",
+       [](MachineConfig& m) { m.steer.contention_weight += 0.5; }},
+      {"l1d.size_bytes", [](MachineConfig& m) { m.l1d.size_bytes *= 2; }},
+      {"l1d.associativity", [](MachineConfig& m) { m.l1d.associativity *= 2; }},
+      {"l1d.line_bytes", [](MachineConfig& m) { m.l1d.line_bytes *= 2; }},
+      {"l1d.hit_latency", [](MachineConfig& m) { m.l1d.hit_latency += 1; }},
+      {"l2.size_bytes", [](MachineConfig& m) { m.l2.size_bytes *= 2; }},
+      {"l2.associativity", [](MachineConfig& m) { m.l2.associativity *= 2; }},
+      {"l2.line_bytes", [](MachineConfig& m) { m.l2.line_bytes *= 2; }},
+      {"l2.hit_latency", [](MachineConfig& m) { m.l2.hit_latency += 1; }},
+      {"memory_latency", [](MachineConfig& m) { m.memory_latency += 1; }},
+      {"lsq_entries", [](MachineConfig& m) { m.lsq_entries += 1; }},
+      {"l1_read_ports", [](MachineConfig& m) { m.l1_read_ports += 1; }},
+      {"l1_write_ports", [](MachineConfig& m) { m.l1_write_ports += 1; }},
+      {"op_occupancy_threshold",
+       [](MachineConfig& m) { m.op_occupancy_threshold -= 0.25; }},
+  };
+  // (field, scheme) pairs the key folds, and why.
+  const std::map<std::pair<std::string, steer::Scheme>, const char*> folded = {
+      {{"steer.topology_aware", steer::Scheme::kOb},
+       "StaticFollowerPolicy reads no config; the pass's use is in the id"},
+      {{"steer.topology_aware", steer::Scheme::kRhop},
+       "StaticFollowerPolicy reads no config"},
+      {{"steer.topology_aware", steer::Scheme::kOneCluster},
+       "OneClusterPolicy reads no config"},
+      {{"steer.contention_weight", steer::Scheme::kOb},
+       "StaticFollowerPolicy reads no config"},
+      {{"steer.contention_weight", steer::Scheme::kRhop},
+       "StaticFollowerPolicy reads no config"},
+      {{"steer.contention_weight", steer::Scheme::kOneCluster},
+       "OneClusterPolicy reads no config"},
+      {{"op_occupancy_threshold", steer::Scheme::kOb},
+       "only OpPolicy reads it"},
+      {{"op_occupancy_threshold", steer::Scheme::kRhop},
+       "only OpPolicy reads it"},
+      {{"op_occupancy_threshold", steer::Scheme::kOneCluster},
+       "only OpPolicy reads it"},
+      {{"op_occupancy_threshold", steer::Scheme::kVc},
+       "only OpPolicy reads it"},
+  };
+  for (const steer::Scheme scheme :
+       {steer::Scheme::kOp, steer::Scheme::kParallelOp, steer::Scheme::kOb,
+        steer::Scheme::kRhop, steer::Scheme::kOneCluster,
+        steer::Scheme::kVc}) {
+    const SchemeSpec spec{scheme, 0};
+    const SimKey base = sim_key(spec, machine, 0);
+    for (const auto& [name, mutate] : mutations) {
+      MachineConfig mutated = machine;
+      mutate(mutated);
+      ASSERT_EQ(mutated.validate(), "") << name;
+      const bool is_folded = folded.count({name, scheme}) != 0;
+      EXPECT_EQ(sim_key(spec, mutated, 0) == base, is_folded)
+          << "field " << name << " under " << steer::scheme_name(scheme);
+    }
+    // The annotation and the scheme are part of the key too.
+    EXPECT_NE(sim_key(spec, machine, 1), base);
+  }
+  EXPECT_NE(sim_key({steer::Scheme::kVc, 2}, machine, 0),
+            sim_key({steer::Scheme::kVc, 4}, machine, 0));
+  // VC at the cluster count is VC(4->4) either way it is asked for.
+  EXPECT_EQ(sim_key({steer::Scheme::kVc, 0}, machine, 0),
+            sim_key({steer::Scheme::kVc, 4}, machine, 0));
+  // Every other scheme ignores num_vcs.
+  EXPECT_EQ(sim_key({steer::Scheme::kOp, 2}, machine, 0),
+            sim_key({steer::Scheme::kOp, 0}, machine, 0));
+}
+
+// On a contention-free fabric link congestion is exactly 0.0, so the
+// fabric folds into kIdeal and the congestion weight folds with it; with
+// flat steering only, nothing reads the weight at all.
+TEST(SimKey, ContentionFreeFabricsAndFlatSteeringFoldTheWeight) {
+  MachineConfig ideal = MachineConfig::four_cluster();
+  ideal.steer.topology_aware = true;
+  for (const steer::Scheme scheme :
+       {steer::Scheme::kOp, steer::Scheme::kParallelOp, steer::Scheme::kVc}) {
+    const SchemeSpec spec{scheme, 0};
+    const SimKey base = sim_key(spec, ideal, 0);
+    MachineConfig m = ideal;
+    m.steer.contention_weight = 3.0;
+    EXPECT_EQ(sim_key(spec, m, 0), base);
+    m.interconnect.copies_per_link_cycle = 7;  // ideal ignores it
+    EXPECT_EQ(sim_key(spec, m, 0), base);
+    m.interconnect.kind = Topology::kCrossbar;  // 7 >= issue_width_copy
+    EXPECT_EQ(sim_key(spec, m, 0), base);
+    m.steer.topology_aware = false;
+    EXPECT_NE(sim_key(spec, m, 0), base);
+
+    MachineConfig ring = ideal;
+    ring.interconnect.kind = Topology::kRing;
+    ring.steer.topology_aware = false;
+    MachineConfig reweighted = ring;
+    reweighted.steer.contention_weight = 0.0;
+    EXPECT_EQ(sim_key(spec, reweighted, 0), sim_key(spec, ring, 0));
+  }
+}
+
+// The fold boundaries of sim::contention_free, in 64 bits for the bus.
+TEST(SimKey, FabricsFoldExactlyFromTheirBoundary) {
+  const SchemeSpec op{steer::Scheme::kOp, 0};
+  for (const std::uint32_t clusters : {2u, 3u, 4u}) {
+    for (const std::uint32_t width : {1u, 2u}) {
+      MachineConfig ideal = MachineConfig::two_cluster();
+      ideal.num_clusters = clusters;
+      ideal.issue_width_copy = width;
+      const SimKey base = sim_key(op, ideal, 0);
+      auto folds = [&](Topology kind, std::uint32_t bandwidth) {
+        MachineConfig m = ideal;
+        m.interconnect.kind = kind;
+        m.interconnect.copies_per_link_cycle = bandwidth;
+        return sim_key(op, m, 0) == base;
+      };
+      SCOPED_TRACE(testing::Message() << clusters << " clusters, width "
+                                      << width);
+      EXPECT_TRUE(folds(Topology::kBus, clusters * width));
+      EXPECT_FALSE(folds(Topology::kBus, clusters * width - 1));
+      EXPECT_TRUE(folds(Topology::kBus, ~0u));
+      EXPECT_TRUE(folds(Topology::kCrossbar, width));
+      EXPECT_EQ(folds(Topology::kRing, width), clusters <= 2);
+      EXPECT_EQ(folds(Topology::kRing, ~0u), clusters <= 2);
+      if (width > 1) {  // a link takes at least one copy per cycle
+        EXPECT_FALSE(folds(Topology::kCrossbar, width - 1));
+        EXPECT_FALSE(folds(Topology::kRing, width - 1));
+      }
+    }
+  }
+  // num_clusters x issue_width_copy beyond 32 bits: even an unlimited bus
+  // (~0u) may then make a copy wait, so it must not fold.
+  MachineConfig wide = MachineConfig::two_cluster();
+  wide.issue_width_copy = 0x80000000u;
+  wide.interconnect.kind = Topology::kBus;
+  wide.interconnect.copies_per_link_cycle = ~0u;
+  EXPECT_FALSE(sim::contention_free(wide));
+  wide.num_clusters = 1;
+  EXPECT_TRUE(sim::contention_free(wide));
+}
+
+// The bench/ablation_interconnect.cpp --smoke grid: 6 traces x 23 machines
+// x 4 schemes = 552 points. Its simulations fall into 282 distinct (trace,
+// sim key) pairs, so the sweep serves 270 points from an identical
+// simulation. scripts/ci_gates.sh's ablation gate asserts that count.
+TEST(SimKey, AblationInterconnectSmokeGridHas282DistinctSimulations) {
+  std::vector<MachineConfig> machines;
+  const Topology topologies[] = {Topology::kIdeal, Topology::kBus,
+                                 Topology::kRing, Topology::kCrossbar};
+  for (const std::uint32_t clusters : {2u, 4u}) {
+    for (const Topology topo : topologies) {
+      MachineConfig m = clusters == 2 ? MachineConfig::two_cluster()
+                                      : MachineConfig::four_cluster();
+      m.interconnect.kind = topo;
+      machines.push_back(m);
+    }
+  }
+  for (const std::uint32_t link : {2u, 4u, 8u}) {
+    MachineConfig m = MachineConfig::two_cluster();
+    m.interconnect.link_latency = link;
+    machines.push_back(m);
+  }
+  for (const double weight : {1.0, 0.5, 2.0}) {
+    for (const Topology topo : topologies) {
+      MachineConfig m = MachineConfig::four_cluster();
+      m.interconnect.kind = topo;
+      m.steer.topology_aware = true;
+      m.steer.contention_weight = weight;
+      machines.push_back(m);
+    }
+  }
+  const SchemeSpec schemes[] = {{steer::Scheme::kOp, 0},
+                                {steer::Scheme::kOb, 0},
+                                {steer::Scheme::kRhop, 0},
+                                {steer::Scheme::kVc, 2}};
+  std::size_t points = 0;
+  std::size_t distinct = 0;
+  for (const workload::WorkloadProfile& profile : workload::smoke_profiles()) {
+    const TraceArtefact trace(profile, SimBudget::smoke());
+    std::set<SimKey> keys;
+    for (const MachineConfig& machine : machines) {
+      for (const SchemeSpec& spec : schemes) {
+        double annotate_s = 0;
+        std::size_t passes = 0;
+        const TraceArtefact::Annotation& annotated =
+            trace.annotation(pass_options(spec, machine), &annotate_s, &passes);
+        keys.insert(sim_key(spec, machine, annotated.id));
+        ++points;
+      }
+    }
+    distinct += keys.size();
+  }
+  EXPECT_EQ(points, 552u);
+  EXPECT_EQ(distinct, 282u);
 }
 
 }  // namespace

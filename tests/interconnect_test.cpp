@@ -1,7 +1,8 @@
 // Tests for the pluggable inter-cluster interconnect: topology distances,
 // per-link bandwidth arbitration (bus/ring/crossbar serialisation), the
-// crossbar-with-unlimited-links == ideal-link equivalence (unit level and
-// bit-for-bit at the simulator level), contention surfacing in SimStats,
+// contention-free-fabric == ideal-link equivalence (unit level and
+// bit-for-bit at the simulator level), the exact boundary of
+// contention_free(), contention surfacing in SimStats,
 // and sweep determinism (--jobs 8 == --jobs 1) for every topology.
 //
 // Property section: for every topology, distance() is zero iff from == to,
@@ -191,6 +192,58 @@ TEST(Interconnect, RingPaysOneLatencyPerHopAndSerialisesSharedLinks) {
   EXPECT_EQ(slow->route_copy(0, 3, 10), 19u);  // 3 hops x 3 cycles
 }
 
+// Saturating injection: every cluster sends issue_width_copy copies per
+// cycle, each cluster all of them to one destination (the worst case for a
+// crossbar's per-pair links). Returns the fabric's contention.
+std::uint64_t saturate(const MachineConfig& cfg, Interconnect& ic) {
+  const std::uint32_t n = cfg.num_clusters;
+  for (std::uint64_t cycle = 10; cycle < 60; ++cycle) {
+    for (std::uint32_t from = 0; from < n; ++from) {
+      for (std::uint32_t k = 0; k < cfg.issue_width_copy; ++k) {
+        const std::uint32_t to = (from + 1) % n;
+        const std::uint64_t arrival = ic.route_copy(from, to, cycle);
+        if (contention_free(cfg)) {
+          EXPECT_EQ(arrival, cycle + cfg.interconnect.link_latency);
+          EXPECT_EQ(ic.congestion(from, to), 0.0);
+        }
+      }
+    }
+  }
+  return ic.stats().link_contention_cycles;
+}
+
+// contention_free() is exact at its boundary: there, saturating injection
+// never waits (the fabric routes like kIdeal); one copy per link-cycle
+// less, it does.
+TEST(Interconnect, ContentionFreeExactlyFromTheBoundary) {
+  for (const std::uint32_t width : {1u, 2u}) {
+    for (const std::uint32_t n : {2u, 3u, 4u}) {
+      struct Case {
+        Topology kind;
+        std::uint32_t boundary;
+      };
+      std::vector<Case> cases = {{Topology::kBus, n * width},
+                                 {Topology::kCrossbar, width}};
+      if (n == 2) cases.push_back({Topology::kRing, width});
+      for (const Case& c : cases) {
+        MachineConfig cfg = machine_with(n, c.kind, c.boundary);
+        cfg.issue_width_copy = width;
+        SCOPED_TRACE(testing::Message() << topology_name(c.kind) << " n=" << n
+                                        << " width=" << width);
+        ASSERT_TRUE(contention_free(cfg));
+        EXPECT_EQ(saturate(cfg, *make_interconnect(cfg)), 0u);
+        if (c.boundary == 1) continue;  // a link takes at least one copy
+        cfg.interconnect.copies_per_link_cycle = c.boundary - 1;
+        ASSERT_FALSE(contention_free(cfg));
+        EXPECT_GT(saturate(cfg, *make_interconnect(cfg)), 0u);
+      }
+    }
+  }
+  // A ring of three or more clusters is never contention-free: its paths
+  // are longer than one hop.
+  EXPECT_FALSE(contention_free(machine_with(3, Topology::kRing, kUnlimited)));
+}
+
 // --------------------------------------------------------- property level --
 
 constexpr Topology kAllTopologies[] = {Topology::kIdeal, Topology::kBus,
@@ -357,14 +410,21 @@ TEST(InterconnectCongestion, ResetClearsTheSignal) {
 
 // --------------------------------------------------------- simulator level --
 
-TEST(InterconnectSim, CrossbarUnlimitedBitIdenticalToIdeal) {
+TEST(InterconnectSim, ContentionFreeFabricsBitIdenticalToIdeal) {
+  // An unlimited crossbar, and a bus at its contention-free boundary of
+  // num_clusters x issue_width_copy copies per cycle.
   TestBench ideal_bench = fan_in_bench();
-  TestBench xbar_bench = fan_in_bench();
   const SimStats ideal = ideal_bench.run(machine_with(4, Topology::kIdeal));
-  const SimStats xbar =
-      xbar_bench.run(machine_with(4, Topology::kCrossbar, kUnlimited));
-  expect_stats_equal(ideal, xbar);
   EXPECT_GT(ideal.copies_routed, 0u);
+  for (const MachineConfig& cfg :
+       {machine_with(4, Topology::kCrossbar, kUnlimited),
+        machine_with(4, Topology::kBus, 4)}) {
+    SCOPED_TRACE(topology_name(cfg.interconnect.kind));
+    TestBench bench = fan_in_bench();
+    const SimStats stats = bench.run(cfg);
+    expect_stats_equal(ideal, stats);
+    EXPECT_EQ(stats.link_busy_cycles, ideal.link_busy_cycles);
+  }
 }
 
 TEST(InterconnectSim, SharedMediaSerialiseCriticalPathCopies) {
