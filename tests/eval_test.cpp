@@ -5,6 +5,10 @@
 // unpruned run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -489,6 +493,72 @@ TEST(PrunedSweep, FrontierCoveringWholeGridReproducesUnprunedBytes) {
     EXPECT_EQ(exec::encode_result(pruned.points()[i]),
               exec::encode_result(full.points()[i]));
   }
+}
+
+std::string sweep_bytes(const exec::SweepResult& sweep) {
+  exec::ResultSink sink("pruned");
+  sink.add_sweep(sweep);
+  std::ostringstream os;
+  sink.write_json(os);
+  return os.str();
+}
+
+// A warm pruned re-run reads both stages from the cache: the model's
+// estimates and the simulated frontier. It writes the same bytes as the cold
+// run and builds, walks and simulates nothing. A garbled model entry is
+// re-estimated and stored back without changing a byte.
+TEST(PrunedSweep, WarmCacheServesBothStages) {
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "vcsteer_pruned_XXXXXX")
+          .string();
+  ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+  const std::string root = tmpl;
+  const exec::SweepGrid grid = small_grid();
+  exec::SweepOptions opt;
+  opt.jobs = 2;
+  opt.prune_top_k = 2;
+  opt.cache_dir = root + "/cache";
+
+  const exec::SweepResult cold = exec::run_sweep(grid, opt);
+  EXPECT_EQ(cold.trace_builds, grid.profiles.size());
+  const std::string expect = sweep_bytes(cold);
+
+  const exec::SweepResult warm = exec::run_sweep(grid, opt);
+  EXPECT_EQ(sweep_bytes(warm), expect);
+  EXPECT_EQ(warm.trace_builds, 0u);
+  EXPECT_EQ(warm.model.walked, 0u);
+  EXPECT_EQ(warm.model.walks_reused, 0u);
+  EXPECT_EQ(warm.simulated, 0u);
+  EXPECT_EQ(warm.experiments, 0u);
+  EXPECT_EQ(warm.cache_corrupt, 0u);
+
+  // Truncate one model-namespace entry, as a writer that died mid-write on
+  // a cache without atomic stores would leave it.
+  std::vector<std::string> model_entries;
+  for (const auto& e : std::filesystem::directory_iterator(opt.cache_dir)) {
+    std::ifstream in(e.path());
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    if (text.find("eval.source=model\n") != std::string::npos) {
+      model_entries.push_back(e.path().string());
+    }
+  }
+  ASSERT_EQ(model_entries.size(), warm.num_points());
+  std::sort(model_entries.begin(), model_entries.end());
+  const std::string& victim = model_entries.front();
+  std::filesystem::resize_file(victim,
+                               std::filesystem::file_size(victim) / 2);
+
+  const exec::SweepResult healed = exec::run_sweep(grid, opt);
+  EXPECT_EQ(sweep_bytes(healed), expect);
+  EXPECT_EQ(healed.cache_corrupt, 1u);
+  EXPECT_EQ(healed.model.walked + healed.model.walks_reused, 1u);
+  EXPECT_EQ(healed.simulated, 0u);
+  // The re-estimate was stored back: the next run reads every entry.
+  const exec::SweepResult again = exec::run_sweep(grid, opt);
+  EXPECT_EQ(again.cache_corrupt, 0u);
+  EXPECT_EQ(again.model.walked + again.model.walks_reused, 0u);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace
