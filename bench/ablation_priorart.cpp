@@ -5,8 +5,8 @@
 // 2-cluster machine, with the hybrid VC for reference.
 //
 // The MOD-N policies are not SchemeSpecs; they ride the sweep as custom
-// policy factories (exec::SweepScheme with a tag), which is the same path
-// user-defined policies from examples/custom_policy take.
+// policy factories (harness::SchemeRequest with a tag), which is the same
+// path user-defined policies from examples/custom_policy take.
 //
 // Usage: ablation_priorart [--jobs N] [--smoke] [--connect A | --serve A]
 //        [--cache-dir D] [--json F] [--summary-json F] [--csv]

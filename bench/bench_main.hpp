@@ -497,9 +497,10 @@ class Output {
   /// grid back from the server's store, so every participant emits
   /// byte-identical results JSON — the same shape as a local --jobs 1 run.
   exec::SweepResult run_networked(const exec::SweepGrid& grid) {
-    net_.enabled = true;
-    net_.role = opt_.serve.empty() ? "connect" : "serve";
-    net_.server = opt_.serve.empty() ? opt_.connect : opt_.serve;
+    exec::RunSummary::NetSummary& net = summary_.net;
+    net.enabled = true;
+    net.role = opt_.serve.empty() ? "connect" : "serve";
+    net.server = opt_.serve.empty() ? opt_.connect : opt_.serve;
 
     if (!opt_.serve.empty() && !server_.start(opt_)) {
       finish_summary(/*ok=*/false);
@@ -507,7 +508,7 @@ class Output {
     }
 
     net::ClientOptions co;
-    co.connect = net_.server;
+    co.connect = net.server;
     net::StoreClient client(co);
     net::NetResultStore store(&client);
     const std::uint64_t sweep_id = exec::grid_fingerprint(grid, opt_.seed);
@@ -522,17 +523,17 @@ class Output {
     pull_opt.store = &store;
     pull_opt.queue = &queue;
     const exec::SweepResult pulled = exec::run_sweep(grid, pull_opt);
-    record_execution(pulled);
+    count(pulled);
     // Cells of the jobs leased here: the pull pass filled them (by store
     // hit or simulation), and the assembly pass reads them back.
     std::size_t pulled_points = 0;
     for (const harness::RunResult& r : pulled.points()) {
       if (!r.trace.empty()) ++pulled_points;
     }
-    net_.jobs_pulled = pulled.jobs_pulled;
+    net.jobs_pulled = pulled.jobs_pulled;
     std::fprintf(stderr, "%s: pulled %zu/%zu jobs from %s\n",
                  opt_.bench_name.c_str(), pulled.jobs_pulled, njobs,
-                 net_.server.c_str());
+                 net.server.c_str());
 
     // Assembly pass: the full grid from the server's store. Cells another
     // worker simulated arrive as hits; if the server is unreachable the
@@ -545,66 +546,57 @@ class Output {
     // hit: those points already counted in the pull pass.
     record(sweep, std::min(pulled_points, sweep.cache_hits));
 
-    client.stats(sweep_id, &net_.workers);
+    client.stats(sweep_id, &net.workers);
     const net::StoreClient::Counters counters = client.counters();
-    net_.gets = counters.gets;
-    net_.puts = counters.puts;
-    net_.reconnects = counters.reconnects;
+    net.gets = counters.gets;
+    net.puts = counters.puts;
+    net.reconnects = counters.reconnects;
     server_.stop();  // no-op in connect mode
     return sweep;
   }
 
-  /// Execution-only counters of a pull-pass sweep. Its *results* are not
-  /// recorded — the assembly pass records every point exactly once, so the
-  /// JSON output and point totals stay a pure function of the grid.
-  void record_execution(const exec::SweepResult& sweep) {
-    simulated_ += sweep.simulated;
-    cache_hits_ += sweep.cache_hits;
-    corrupt_ += sweep.cache_corrupt;
-    experiments_ += sweep.experiments;
-    trace_builds_ += sweep.trace_builds;
-    annotations_ += sweep.annotations;
-    sims_reused_ += sweep.sims_reused;
-    phases_ += sweep.phases;
+  /// Execution counters of `sweep`, summed into the run summary. A
+  /// pull-pass sweep records only these: the assembly pass records every
+  /// point exactly once, so the JSON output and point totals stay a pure
+  /// function of the grid. `read_back` of its cache hits are cells this
+  /// process already counted in a pull pass (see RunSummary::cache_hits).
+  void count(const exec::SweepResult& sweep, std::size_t read_back = 0) {
+    summary_.simulated += sweep.simulated;
+    summary_.cache_hits += sweep.cache_hits - read_back;
+    summary_.corrupt_recovered += sweep.cache_corrupt;
+    summary_.experiments += sweep.experiments;
+    summary_.trace_builds += sweep.trace_builds;
+    summary_.annotations += sweep.annotations;
+    summary_.sims_reused += sweep.sims_reused;
+    summary_.phases += sweep.phases;
     for (const auto& [label, span] : sweep.scheme_simulate_s) {
-      schemes_[label].simulate_s += span;
+      summary_.schemes[label].simulate_s += span;
     }
-  }
-
-  /// Every point of a complete sweep. `read_back` of its cache hits are
-  /// cells this process already counted in a pull pass (see
-  /// RunSummary::cache_hits).
-  void record(const exec::SweepResult& sweep, std::size_t read_back = 0) {
-    sink_.add_sweep(sweep);
-    points_ += sweep.num_points();
-    simulated_ += sweep.simulated;
-    cache_hits_ += sweep.cache_hits - read_back;
-    corrupt_ += sweep.cache_corrupt;
-    annotations_ += sweep.annotations;
-    sims_reused_ += sweep.sims_reused;
-    for (const harness::RunResult& r : sweep.points()) {
-      uops_ += r.committed_uops;
-      cycles_ += r.cycles;
-      schemes_[r.scheme].uops += r.committed_uops;
-    }
-    for (const auto& [label, span] : sweep.scheme_simulate_s) {
-      schemes_[label].simulate_s += span;
-    }
-    experiments_ += sweep.experiments;
-    trace_builds_ += sweep.trace_builds;
-    traces_ += sweep.num_traces();
-    phases_ += sweep.phases;
     if (sweep.model.enabled) {
       // Counters sum across sweeps; the rank-agreement stats describe one
       // frontier, so the last pruned sweep's values stand for the run.
-      model_.enabled = true;
-      model_.top_k = sweep.model.top_k;
-      model_.estimated += sweep.model.estimated;
-      model_.walked += sweep.model.walked;
-      model_.walks_reused += sweep.model.walks_reused;
-      model_.pruned += sweep.model.pruned;
-      model_.spearman = sweep.model.spearman;
-      model_.top3_overlap = sweep.model.top3_overlap;
+      exec::RunSummary::ModelSummary& model = summary_.model;
+      model.enabled = true;
+      model.top_k = sweep.model.top_k;
+      model.estimated += sweep.model.estimated;
+      model.walked += sweep.model.walked;
+      model.walks_reused += sweep.model.walks_reused;
+      model.pruned += sweep.model.pruned;
+      model.spearman = sweep.model.spearman;
+      model.top3_overlap = sweep.model.top3_overlap;
+    }
+  }
+
+  /// Every point of a complete sweep, and its counters.
+  void record(const exec::SweepResult& sweep, std::size_t read_back = 0) {
+    sink_.add_sweep(sweep);
+    count(sweep, read_back);
+    summary_.points += sweep.num_points();
+    summary_.traces += sweep.num_traces();
+    for (const harness::RunResult& r : sweep.points()) {
+      summary_.uops += r.committed_uops;
+      summary_.cycles += r.cycles;
+      summary_.schemes[r.scheme].uops += r.committed_uops;
     }
     if (!opt_.cache_dir.empty()) {
       std::fprintf(stderr, "%s: %zu points (%zu simulated, %zu cache hits)\n",
@@ -621,28 +613,13 @@ class Output {
 
   void finish_summary(bool ok) const {
     if (opt_.summary_json_path.empty()) return;
-    exec::RunSummary summary;
+    exec::RunSummary summary = summary_;
     summary.bench = opt_.bench_name;
     summary.ok = ok;
     summary.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    summary.points = points_;
-    summary.simulated = simulated_;
-    summary.cache_hits = cache_hits_;
-    summary.corrupt_recovered = corrupt_;
-    summary.annotations = annotations_;
-    summary.sims_reused = sims_reused_;
-    summary.uops = uops_;
-    summary.cycles = cycles_;
-    summary.experiments = experiments_;
-    summary.trace_builds = trace_builds_;
-    summary.traces = traces_;
-    summary.phases = phases_;
-    summary.schemes = schemes_;
-    summary.net = net_;
-    summary.model = model_;
     summary.options = echo_options(opt_);
     std::ofstream os(opt_.summary_json_path);
     if (os) {
@@ -659,21 +636,9 @@ class Output {
   exec::ResultSink sink_;
   std::chrono::steady_clock::time_point start_;
   ServerProcess server_;
-  exec::RunSummary::NetSummary net_;
-  exec::RunSummary::ModelSummary model_;
-  std::size_t points_ = 0;
-  std::size_t simulated_ = 0;
-  std::size_t cache_hits_ = 0;
-  std::size_t corrupt_ = 0;
-  std::size_t annotations_ = 0;
-  std::size_t sims_reused_ = 0;
-  std::uint64_t uops_ = 0;
-  std::uint64_t cycles_ = 0;
-  std::size_t experiments_ = 0;
-  std::size_t trace_builds_ = 0;
-  std::size_t traces_ = 0;
-  exec::PhaseSeconds phases_;
-  std::map<std::string, exec::RunSummary::SchemeSummary> schemes_;
+  /// Every sweep's counters, accumulated as they finish; finish_summary()
+  /// adds the run's identity, wall time and options.
+  exec::RunSummary summary_;
   bool first_ = true;
 };
 

@@ -41,52 +41,37 @@ const char* source_name(Source s) {
   return s == Source::kSim ? "sim" : "model";
 }
 
-ModelEvaluator::TraceData& ModelEvaluator::trace_data_for(
-    const EvalRequest& request) {
-  const std::string key = trace_key(request.profile, request.budget);
-  std::lock_guard<std::mutex> lock(map_mutex_);
-  std::unique_ptr<TraceData>& slot = traces_[key];
-  if (!slot) slot = std::make_unique<TraceData>();
-  return *slot;
-}
-
 EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
   EvalResponse response;
-  TraceData& data = trace_data_for(request);
+  TraceData& data = traces_.get(
+      trace_key(request.profile, request.budget), [&](TraceData& d) {
+        // The first request of a trace supplies it, or has it built here
+        // and billed to this response; later cells reuse it at no build
+        // cost.
+        d.trace = request.trace;
+        if (!d.trace) {
+          d.trace = std::make_shared<const harness::TraceArtefact>(
+              request.profile, request.budget);
+          response.phases.trace_build_s = d.trace->build_s();
+          response.trace_builds = 1;
+        }
+      });
   const MachineConfig& machine = request.machine;
   const MemoryKey memory = memory_key(machine);
-  const LoadExtra* load_extra = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(data.mutex);
-    if (!data.trace) {
-      // The first request of a trace supplies it, or has it built here and
-      // billed to this response; later cells reuse it at no build cost.
-      data.trace = request.trace;
-      if (!data.trace) {
-        data.trace = std::make_shared<const harness::TraceArtefact>(
-            request.profile, request.budget);
-        response.phases.trace_build_s = data.trace->build_s();
-        response.trace_builds = 1;
-      }
+  // Functional memory replay is scheme-independent and reads only the cache
+  // geometry of the machine: one pass per (trace, geometry), shared by every
+  // scheme's walk in every cell with that hierarchy. Like the trace build,
+  // its time is billed only to the response that ran it.
+  const LoadExtra& load_extra = data.load_extra.get(memory, [&](LoadExtra& e) {
+    const harness::TraceArtefact& trace = *data.trace;
+    const Clock::time_point warm_t0 = Clock::now();
+    for (std::size_t p = 0; p < trace.intervals().size(); ++p) {
+      e.push_back(model::memory_latencies(trace.workload().program,
+                                          trace.intervals()[p],
+                                          trace.warm_addrs()[p], machine));
     }
-    // Functional memory replay is scheme-independent and reads only the
-    // cache geometry of the machine: one pass per (trace, geometry), shared
-    // by every scheme's walk in every cell with that hierarchy. Like the
-    // trace build, its time is billed only to the response that ran it.
-    // std::map nodes are stable, so the pointer outlives the lock.
-    const auto [it, inserted] = data.load_extra.try_emplace(memory);
-    if (inserted) {
-      const harness::TraceArtefact& trace = *data.trace;
-      const Clock::time_point warm_t0 = Clock::now();
-      for (std::size_t p = 0; p < trace.intervals().size(); ++p) {
-        it->second.push_back(model::memory_latencies(
-            trace.workload().program, trace.intervals()[p],
-            trace.warm_addrs()[p], machine));
-      }
-      response.phases.warmup_s = seconds_since(warm_t0);
-    }
-    load_extra = &it->second;
-  }
+    response.phases.warmup_s = seconds_since(warm_t0);
+  });
   const harness::TraceArtefact& trace = *data.trace;
   const auto& points = trace.simpoints();
   const auto& intervals = trace.intervals();
@@ -108,31 +93,21 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
 
     // The walk is a function of the replay entry, the walk config and the
     // hints alone, so a grid point whose key an earlier point already
-    // walked reuses its estimates. Lookup and insert happen under the
-    // trace's lock; the walk runs outside it, once per key (std::map nodes
-    // are stable, so the entry outlives the lock).
-    WalkKey key{memory, annotated.id, model::walk_config(machine, approx)};
-    Walk* walk = nullptr;
-    const model::WalkConfig* config = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(data.mutex);
-      const auto it = data.walks.try_emplace(std::move(key)).first;
-      walk = &it->second;
-      config = &it->first.config;
-    }
-    // Like the trace build and the replay, walk time is billed only to the
-    // response that walked.
+    // walked reuses its estimates. Like the trace build and the replay,
+    // walk time is billed only to the response that walked.
+    const WalkKey key{memory, annotated.id, model::walk_config(machine, approx)};
     bool walked = false;
     double walk_s = 0.0;
-    std::call_once(walk->once, [&] {
-      const Clock::time_point walk_t0 = Clock::now();
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        walk->estimates.push_back(model::estimate_interval(
-            annotated.program, intervals[p], (*load_extra)[p], *config));
-      }
-      walk_s = seconds_since(walk_t0);
-      walked = true;
-    });
+    const std::vector<model::IntervalEstimate>& estimates = data.walks.get(
+        key, [&](std::vector<model::IntervalEstimate>& out) {
+          const Clock::time_point walk_t0 = Clock::now();
+          for (std::size_t p = 0; p < points.size(); ++p) {
+            out.push_back(model::estimate_interval(
+                annotated.program, intervals[p], load_extra[p], key.config));
+          }
+          walk_s = seconds_since(walk_t0);
+          walked = true;
+        });
     ++(walked ? response.walked : response.walks_reused);
 
     // PinPoints-weighted aggregation, same operations in the same order as
@@ -145,7 +120,7 @@ EvalResponse ModelEvaluator::evaluate(const EvalRequest& request) {
     result.num_points = points.size();
     result.num_clusters = machine.num_clusters;
     for (std::size_t p = 0; p < points.size(); ++p) {
-      const model::IntervalEstimate& est = walk->estimates[p];
+      const model::IntervalEstimate& est = estimates[p];
       const double w = points[p].weight;
       w_cycles += w * static_cast<double>(est.cycles);
       w_uops += w * static_cast<double>(est.committed_uops);

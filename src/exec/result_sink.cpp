@@ -21,12 +21,12 @@ void write_summary_json(std::ostream& os, const RunSummary& s) {
      << ",\"corrupt_recovered\":" << s.corrupt_recovered
      << ",\"uops\":" << s.uops << ",\"annotations\":" << s.annotations
      << ",\"sims_reused\":" << s.sims_reused << "}"
-     << ",\"phases\":{\"trace_build_s\":" << num(s.phases.trace_build)
-     << ",\"annotate_s\":" << num(s.phases.annotate)
-     << ",\"warmup_s\":" << num(s.phases.warmup)
-     << ",\"simulate_s\":" << num(s.phases.simulate)
-     << ",\"walk_s\":" << num(s.phases.walk)
-     << ",\"cache_io_s\":" << num(s.phases.cache_io) << "}"
+     << ",\"phases\":{\"trace_build_s\":" << num(s.phases.trace_build_s)
+     << ",\"annotate_s\":" << num(s.phases.annotate_s)
+     << ",\"warmup_s\":" << num(s.phases.warmup_s)
+     << ",\"simulate_s\":" << num(s.phases.simulate_s)
+     << ",\"walk_s\":" << num(s.phases.walk_s)
+     << ",\"cache_io_s\":" << num(s.phases.cache_io_s) << "}"
      << ",\"schemes\":{";
   {
     bool first = true;

@@ -37,11 +37,12 @@ struct RunSummary {
   double wall_seconds = 0.0;
   /// Sweep counters, from SweepResult. `points` is the grid's size. Each
   /// point counts at most once in `cache_hits`: a plain run counts the
-  /// points its sweep read from the cache; a --connect/--serve run counts
-  /// the store hits of the jobs it leased, plus the points of jobs it did
-  /// not lease, which its assembly pass read from the store (its read-back
-  /// of its own leased jobs is not a hit). `simulated` counts simulations
-  /// run in this process, in either pass.
+  /// simulation results its sweep read from the cache (a pruned run's
+  /// cached model estimates are not hits; see SweepResult::cache_hits); a
+  /// --connect/--serve run counts the store hits of the jobs it leased,
+  /// plus the points of jobs it did not lease, which its assembly pass read
+  /// from the store (its read-back of its own leased jobs is not a hit).
+  /// `simulated` counts simulations run in this process, in either pass.
   std::size_t points = 0;
   std::size_t simulated = 0;
   std::size_t cache_hits = 0;
@@ -52,12 +53,12 @@ struct RunSummary {
   /// Of the `simulated` points, those served by an identical simulation
   /// (same trace and harness::SimKey) earlier in the same sweep instead of
   /// running their own cycle loops (SweepResult::sims_reused). A subset of
-  /// `simulated`, so simulated + cache_hits == points still holds.
+  /// `simulated`, so simulated + cache_hits + model.pruned == points still
+  /// holds.
   std::size_t sims_reused = 0;
   /// Committed micro-ops summed over this run's available points (simulated
   /// or cache-served). On a cold single-process run this is the simulated
-  /// uop volume, which the perf gate divides by wall_seconds for kuops/s
-  /// (scripts/perf_gate.py).
+  /// uop volume.
   std::uint64_t uops = 0;
   /// Simulated cycles summed over this run's available points.
   std::uint64_t cycles = 0;
@@ -68,10 +69,10 @@ struct RunSummary {
   /// per recorded sweep): equal on a cold sweep that builds each trace once.
   std::size_t trace_builds = 0;
   std::size_t traces = 0;
-  /// Per-phase spans summed over all sweeps (see exec::PhaseSeconds).
-  PhaseSeconds phases;
+  /// Per-phase spans summed over all sweeps (see harness::PhaseTimes).
+  harness::PhaseTimes phases;
   /// Per-scheme committed uops and simulate spans, for honest per-scheme
-  /// throughput (scripts/perf_gate.py) instead of one shared wall clock.
+  /// throughput instead of one shared wall clock.
   struct SchemeSummary {
     std::uint64_t uops = 0;
     double simulate_s = 0.0;

@@ -6,11 +6,11 @@
 #include <cmath>
 #include <mutex>
 #include <optional>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "eval/model_evaluator.hpp"
-#include "eval/sim_evaluator.hpp"
 #include "exec/thread_pool.hpp"
 
 namespace vcsteer::exec {
@@ -95,6 +95,37 @@ class SharedTraces {
   std::atomic<std::size_t> builds_{0};
 };
 
+/// One stage of a sweep: the cache-key namespace of its results, the slots
+/// they land in (indexed like SweepResult's points), the schemes it
+/// evaluates on each machine, and the call that evaluates one cell's cache
+/// misses, in request order, adding its spans to the job's phases.
+struct Stage {
+  eval::Source source;
+  std::vector<harness::RunResult>* slots;
+  const std::vector<std::vector<std::size_t>>* schemes;
+  std::function<std::vector<harness::RunResult>(const eval::EvalRequest&,
+                                                harness::PhaseTimes&)>
+      evaluate;
+};
+
+/// Runs task(0) .. task(n - 1) on min(jobs, n) workers, inline on the
+/// calling thread when that is at most one.
+void run_tasks(unsigned jobs, std::size_t n,
+               const std::function<void(std::size_t)>& task) {
+  const std::size_t workers = std::min<std::size_t>(jobs, n);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  ThreadPool pool(static_cast<unsigned>(workers));
+  std::vector<std::future<void>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    futures.push_back(pool.submit([&task, i] { task(i); }));
+  }
+  for (auto& f : futures) f.get();
+}
+
 /// Tie-averaged descending ranks (rank 1 = largest value), the standard
 /// Spearman convention: tied values share the mean of the ranks they span.
 std::vector<double> tied_ranks(const std::vector<double>& values) {
@@ -151,7 +182,7 @@ std::uint64_t grid_fingerprint(const SweepGrid& grid,
     workload::WorkloadProfile profile = base;
     profile.seed_salt += seed_salt;
     for (const MachineConfig& machine : grid.machines) {
-      for (const SweepScheme& scheme : grid.schemes) {
+      for (const harness::SchemeRequest& scheme : grid.schemes) {
         all += cache_key(profile, machine, scheme.spec, grid.budget,
                          scheme.custom_tag);
         all += '\x1f';  // unambiguous separator between point keys
@@ -205,119 +236,115 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   std::atomic<std::size_t> experiments{0};
   std::atomic<std::size_t> annotations{0};
   std::atomic<std::size_t> sims_reused{0};
+  std::atomic<std::size_t> walked{0};
+  std::atomic<std::size_t> walks_reused{0};
   std::atomic<std::size_t> jobs_done{0};
   std::mutex progress_mutex;
-  std::mutex phases_mutex;
-  PhaseSeconds phases;
-  std::map<std::string, double> scheme_simulate_s;
+  std::mutex phases_mutex;  ///< guards result.phases and scheme_simulate_s.
   using Clock = std::chrono::steady_clock;
   auto seconds_since = [](Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
   };
 
-  eval::SimEvaluator sim_evaluator;
   SharedTraces traces(grid, opt.seed_salt);
   const auto slot_index = [&](std::size_t t, std::size_t m, std::size_t s) {
     return (t * grid.machines.size() + m) * grid.schemes.size() + s;
   };
 
-  // --- Stage 1 (pruned mode only): model-estimate every grid point. -------
-  // Scored by the analytical evaluator (memoised traces; cached under the
-  // "model" key namespace), then (machine, scheme) configs are ranked by
-  // mean model IPC across traces and the top-K become the simulation
-  // frontier. sim_schemes[m] is the scheme subset stage 2 simulates on
-  // machine m — every scheme in the unpruned case.
+  // One (trace, machine) cell of a stage: probe the store for each of the
+  // stage's schemes on machine m, evaluate the misses in one call, store
+  // them, and bill the job's phases. Only the simulation namespace counts
+  // cache hits, so a point counts at most once in a pruned sweep.
+  const auto run_cell = [&](const Stage& stage, std::size_t t, std::size_t m) {
+    eval::EvalRequest request{grid.profiles[t], grid.machines[m], grid.budget,
+                              {}};
+    request.profile.seed_salt += opt.seed_salt;
+    harness::PhaseTimes phases;
+    std::vector<std::size_t> missing;
+    std::vector<std::string> keys(grid.schemes.size());
+    for (const std::size_t s : (*stage.schemes)[m]) {
+      const harness::SchemeRequest& scheme = grid.schemes[s];
+      if (store != nullptr) {
+        keys[s] = cache_key(request.profile, request.machine, scheme.spec,
+                            grid.budget, scheme.custom_tag,
+                            eval::source_name(stage.source));
+        const Clock::time_point t0 = Clock::now();
+        const CacheLookup looked =
+            store->lookup(keys[s], &(*stage.slots)[slot_index(t, m, s)]);
+        phases.cache_io_s += seconds_since(t0);
+        if (looked == CacheLookup::kHit) {
+          if (stage.source == eval::Source::kSim) {
+            cache_hits.fetch_add(1, std::memory_order_relaxed);
+          }
+          continue;
+        }
+        if (looked == CacheLookup::kCorrupt) {
+          cache_corrupt.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      missing.push_back(s);
+      request.schemes.push_back(scheme);
+    }
+    if (!missing.empty()) {
+      request.trace = traces.get(t, &phases.trace_build_s);
+      std::vector<harness::RunResult> results =
+          stage.evaluate(request, phases);
+      for (std::size_t i = 0; i < missing.size(); ++i) {
+        harness::RunResult& slot =
+            (*stage.slots)[slot_index(t, m, missing[i])];
+        slot = std::move(results[i]);
+        if (store != nullptr) {
+          const Clock::time_point t0 = Clock::now();
+          store->store(keys[missing[i]], slot);
+          phases.cache_io_s += seconds_since(t0);
+        }
+      }
+    }
+    traces.done(t);
+    std::lock_guard<std::mutex> lock(phases_mutex);
+    result.phases += phases;
+  };
+
+  // sim_schemes[m] is the scheme subset stage 2 simulates on machine m:
+  // every scheme, unless stage 1 pruned the grid to its frontier.
   std::vector<std::vector<std::size_t>> sim_schemes(grid.machines.size());
+  for (auto& schemes : sim_schemes) {
+    schemes.resize(grid.schemes.size());
+    for (std::size_t s = 0; s < grid.schemes.size(); ++s) schemes[s] = s;
+  }
+
+  // --- Stage 1 (pruned mode only): model-estimate every grid point. -------
+  // Scored by the analytical evaluator (cached under the "model" key
+  // namespace), then (machine, scheme) configs are ranked by mean model IPC
+  // across traces and the top-K become the simulation frontier.
   std::vector<harness::RunResult> model_points;
   std::vector<double> model_score;  // mean model IPC per (machine, scheme)
-  if (opt.prune_top_k == 0) {
-    for (auto& schemes : sim_schemes) {
-      schemes.resize(grid.schemes.size());
-      for (std::size_t s = 0; s < grid.schemes.size(); ++s) schemes[s] = s;
-    }
-  } else {
+  if (opt.prune_top_k > 0) {
     // Every cell of stage 1, plus one hold per trace that keeps it alive
     // until stage 2's jobs are announced.
     for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
       traces.expect(t, grid.machines.size() + 1);
     }
+    // Scoped to stage 1: its memo holds every trace, which stage 2 must be
+    // free to drop.
     eval::ModelEvaluator model_evaluator;
-    std::atomic<std::size_t> walked{0};
-    std::atomic<std::size_t> walks_reused{0};
     model_points.resize(result.num_points());
-    auto model_job = [&](std::size_t t, std::size_t m) {
-      workload::WorkloadProfile profile = grid.profiles[t];
-      profile.seed_salt += opt.seed_salt;
-      const MachineConfig& machine = grid.machines[m];
-      PhaseSeconds job_phases;
-      std::vector<std::size_t> missing;
-      std::vector<std::string> keys(grid.schemes.size());
-      for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        if (store != nullptr) {
-          keys[s] = cache_key(profile, machine, grid.schemes[s].spec,
-                              grid.budget, grid.schemes[s].custom_tag,
-                              eval::source_name(eval::Source::kModel));
-          const Clock::time_point t0 = Clock::now();
-          const CacheLookup looked =
-              store->lookup(keys[s], &model_points[slot_index(t, m, s)]);
-          job_phases.cache_io += seconds_since(t0);
-          if (looked == CacheLookup::kHit) {
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (looked == CacheLookup::kCorrupt) {
-            cache_corrupt.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        missing.push_back(s);
-      }
-      if (!missing.empty()) {
-        eval::EvalRequest request{profile, machine, grid.budget, {}};
-        for (const std::size_t s : missing) {
-          request.schemes.push_back(grid.schemes[s]);
-        }
-        request.trace = traces.get(t, &job_phases.trace_build);
-        eval::EvalResponse response = model_evaluator.evaluate(request);
-        walked.fetch_add(response.walked, std::memory_order_relaxed);
-        walks_reused.fetch_add(response.walks_reused,
-                               std::memory_order_relaxed);
-        annotations.fetch_add(response.annotations, std::memory_order_relaxed);
-        for (std::size_t i = 0; i < missing.size(); ++i) {
-          const std::size_t s = missing[i];
-          model_points[slot_index(t, m, s)] = std::move(response.results[i]);
-          if (store != nullptr) {
-            const Clock::time_point t0 = Clock::now();
-            store->store(keys[s], model_points[slot_index(t, m, s)]);
-            job_phases.cache_io += seconds_since(t0);
-          }
-        }
-        job_phases.annotate += response.phases.annotate_s;
-        job_phases.warmup += response.phases.warmup_s;
-        job_phases.walk += response.phases.walk_s;
-      }
-      traces.done(t);
-      std::lock_guard<std::mutex> lock(phases_mutex);
-      phases += job_phases;
-    };
-    if (opt.jobs <= 1 || total_jobs <= 1) {
-      for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-        for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-          model_job(t, m);
-        }
-      }
-    } else {
-      ThreadPool pool(static_cast<unsigned>(
-          std::min<std::size_t>(opt.jobs, total_jobs)));
-      std::vector<std::future<void>> futures;
-      futures.reserve(total_jobs);
-      for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-        for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-          futures.push_back(
-              pool.submit([&model_job, t, m] { model_job(t, m); }));
-        }
-      }
-      for (auto& f : futures) f.get();
-    }
+    const Stage model_stage{
+        eval::Source::kModel, &model_points, &sim_schemes,
+        [&](const eval::EvalRequest& request, harness::PhaseTimes& phases) {
+          eval::EvalResponse response = model_evaluator.evaluate(request);
+          walked.fetch_add(response.walked, std::memory_order_relaxed);
+          walks_reused.fetch_add(response.walks_reused,
+                                 std::memory_order_relaxed);
+          annotations.fetch_add(response.annotations,
+                                std::memory_order_relaxed);
+          phases += response.phases;
+          return std::move(response.results);
+        }};
+    run_tasks(opt.jobs, total_jobs, [&](std::size_t job) {
+      run_cell(model_stage, job / grid.machines.size(),
+               job % grid.machines.size());
+    });
     result.model.enabled = true;
     result.model.top_k = opt.prune_top_k;
     result.model.estimated = model_points.size();
@@ -346,6 +373,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
                        return model_score[a] > model_score[b];
                      });
     const std::size_t frontier = std::min(opt.prune_top_k, num_configs);
+    for (auto& schemes : sim_schemes) schemes.clear();
     for (std::size_t i = 0; i < frontier; ++i) {
       sim_schemes[order[i] / grid.schemes.size()].push_back(
           order[i] % grid.schemes.size());
@@ -355,142 +383,74 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     for (auto& schemes : sim_schemes) std::sort(schemes.begin(), schemes.end());
   }
 
-  std::size_t num_jobs = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> sim_cells;
   for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
     for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-      if (!sim_schemes[m].empty()) {
-        ++num_jobs;
-        // Leased jobs announce themselves when acquired.
-        if (opt.queue == nullptr) traces.expect(t, 1);
-      }
+      if (sim_schemes[m].empty()) continue;
+      sim_cells.emplace_back(t, m);
+      // Leased jobs announce themselves when acquired.
+      if (opt.queue == nullptr) traces.expect(t, 1);
     }
     if (opt.prune_top_k > 0) traces.done(t);  // release stage 1's hold
   }
 
   // --- Stage 2: cycle-accurate simulation. --------------------------------
   // One job = the (frontier) schemes of one (trace, machine) cell: the
-  // schemes share the job's TraceExperiment behind SimEvaluator, the jobs
-  // of a trace share its TraceArtefact, its annotations and warm-state
-  // snapshots, and each scheme takes its hints whole from the trace's
-  // annotation for its pass input, so evaluating any subset of schemes
-  // yields the same bits as evaluating all of them — which is why a pruned
-  // run's simulated frontier is byte-identical to the unpruned run's.
-  auto run_job = [&](std::size_t t, std::size_t m) {
-    workload::WorkloadProfile profile = grid.profiles[t];
-    profile.seed_salt += opt.seed_salt;
-    const MachineConfig& machine = grid.machines[m];
-
-    PhaseSeconds job_phases;
-    std::vector<std::size_t> missing;
-    std::vector<std::string> keys(grid.schemes.size());
-    for (const std::size_t s : sim_schemes[m]) {
-      const SweepScheme& scheme = grid.schemes[s];
-      if (store != nullptr) {
-        keys[s] = cache_key(profile, machine, scheme.spec, grid.budget,
-                            scheme.custom_tag);
-        const Clock::time_point t0 = Clock::now();
-        const CacheLookup looked = store->lookup(keys[s], &result.slot(t, m, s));
-        job_phases.cache_io += seconds_since(t0);
-        if (looked == CacheLookup::kHit) {
-          cache_hits.fetch_add(1, std::memory_order_relaxed);
-          continue;
+  // schemes share the job's TraceExperiment, the jobs of a trace share its
+  // TraceArtefact, its annotations and warm-state snapshots, and each
+  // scheme takes its hints whole from the trace's annotation for its pass
+  // input, so evaluating any subset of schemes yields the same bits as
+  // evaluating all of them — which is why a pruned run's simulated frontier
+  // is byte-identical to the unpruned run's.
+  const Stage sim_stage{
+      eval::Source::kSim, &result.points_, &sim_schemes,
+      [&](const eval::EvalRequest& request, harness::PhaseTimes& phases) {
+        harness::TraceExperiment experiment(request.trace, request.machine);
+        std::vector<harness::RunResult> results =
+            experiment.evaluate(request.schemes);
+        experiments.fetch_add(1, std::memory_order_relaxed);
+        simulated.fetch_add(results.size(), std::memory_order_relaxed);
+        annotations.fetch_add(experiment.annotations(),
+                              std::memory_order_relaxed);
+        sims_reused.fetch_add(experiment.sims_reused(),
+                              std::memory_order_relaxed);
+        phases += experiment.phases();
+        std::lock_guard<std::mutex> lock(phases_mutex);
+        for (const auto& [label, span] : experiment.scheme_simulate_s()) {
+          result.scheme_simulate_s[label] += span;
         }
-        if (looked == CacheLookup::kCorrupt) {
-          cache_corrupt.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      missing.push_back(s);
-    }
-
-    if (!missing.empty()) {
-      eval::EvalRequest request{profile, machine, grid.budget, {}};
-      for (const std::size_t s : missing) {
-        request.schemes.push_back(grid.schemes[s]);
-      }
-      request.trace = traces.get(t, &job_phases.trace_build);
-      eval::EvalResponse response = sim_evaluator.evaluate(request);
-      experiments.fetch_add(1, std::memory_order_relaxed);
-      annotations.fetch_add(response.annotations, std::memory_order_relaxed);
-      sims_reused.fetch_add(response.sims_reused, std::memory_order_relaxed);
-      for (std::size_t i = 0; i < missing.size(); ++i) {
-        const std::size_t s = missing[i];
-        result.slot(t, m, s) = std::move(response.results[i]);
-        simulated.fetch_add(1, std::memory_order_relaxed);
-        if (store != nullptr) {
-          const Clock::time_point t0 = Clock::now();
-          store->store(keys[s], result.slot(t, m, s));
-          job_phases.cache_io += seconds_since(t0);
-        }
-      }
-      job_phases.annotate += response.phases.annotate_s;
-      job_phases.warmup += response.phases.warmup_s;
-      job_phases.simulate += response.phases.simulate_s;
-      std::lock_guard<std::mutex> lock(phases_mutex);
-      for (const auto& [label, span] : response.scheme_simulate_s) {
-        scheme_simulate_s[label] += span;
-      }
-    }
-    traces.done(t);
-    {
-      std::lock_guard<std::mutex> lock(phases_mutex);
-      phases += job_phases;
-    }
-
+        return results;
+      }};
+  const auto sim_job = [&](std::size_t t, std::size_t m) {
+    run_cell(sim_stage, t, m);
     const std::size_t done = jobs_done.fetch_add(1) + 1;
     if (opt.progress) {
       std::lock_guard<std::mutex> lock(progress_mutex);
-      opt.progress(done, num_jobs);
+      opt.progress(done, sim_cells.size());
     }
   };
 
   std::atomic<std::size_t> jobs_pulled{0};
   if (opt.queue != nullptr) {
-    // Pull mode: each worker thread leases jobs until the queue reports the
-    // sweep drained. Cells pulled by *other* workers stay default — the
-    // caller assembles them from the shared store afterwards.
-    auto pull_loop = [&] {
+    // Pull mode: each worker leases jobs until the queue reports the sweep
+    // drained. Cells pulled by *other* workers stay default — the caller
+    // assembles them from the shared store afterwards.
+    const std::size_t workers = std::max<std::size_t>(
+        1, std::min<std::size_t>(opt.jobs, total_jobs));
+    run_tasks(opt.jobs, workers, [&](std::size_t) {
       std::size_t job = 0;
       while (opt.queue->acquire(&job)) {
         VCSTEER_CHECK_MSG(job < total_jobs, "leased job index out of range");
         jobs_pulled.fetch_add(1, std::memory_order_relaxed);
         traces.expect(job / grid.machines.size(), 1);
-        run_job(job / grid.machines.size(), job % grid.machines.size());
+        sim_job(job / grid.machines.size(), job % grid.machines.size());
         opt.queue->complete(job);
       }
-    };
-    if (opt.jobs <= 1) {
-      pull_loop();
-    } else {
-      ThreadPool pool(static_cast<unsigned>(
-          std::min<std::size_t>(opt.jobs, total_jobs)));
-      std::vector<std::future<void>> futures;
-      const std::size_t workers =
-          std::min<std::size_t>(opt.jobs, total_jobs);
-      futures.reserve(workers);
-      for (std::size_t i = 0; i < workers; ++i) {
-        futures.push_back(pool.submit(pull_loop));
-      }
-      for (auto& f : futures) f.get();
-    }
-  } else if (opt.jobs <= 1 || num_jobs <= 1) {
-    for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-      for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        if (!sim_schemes[m].empty()) run_job(t, m);
-      }
-    }
-  } else if (num_jobs > 0) {
-    // No point keeping more workers than jobs exist.
-    ThreadPool pool(static_cast<unsigned>(
-        std::min<std::size_t>(opt.jobs, num_jobs)));
-    std::vector<std::future<void>> futures;
-    futures.reserve(num_jobs);
-    for (std::size_t t = 0; t < grid.profiles.size(); ++t) {
-      for (std::size_t m = 0; m < grid.machines.size(); ++m) {
-        if (sim_schemes[m].empty()) continue;
-        futures.push_back(pool.submit([&run_job, t, m] { run_job(t, m); }));
-      }
-    }
-    for (auto& f : futures) f.get();
+    });
+  } else {
+    run_tasks(opt.jobs, sim_cells.size(), [&](std::size_t i) {
+      sim_job(sim_cells[i].first, sim_cells[i].second);
+    });
   }
 
   // --- Stage 3 (pruned mode only): fill non-frontier slots with the model
@@ -558,8 +518,6 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   result.experiments = experiments.load();
   result.annotations = annotations.load();
   result.trace_builds = traces.builds();
-  result.phases = phases;
-  result.scheme_simulate_s = std::move(scheme_simulate_s);
   return result;
 }
 

@@ -2,22 +2,24 @@
 //
 // A sweep is the cross product (traces x machines x schemes) every figure
 // bench iterates. run_sweep() splits it into one job per (trace, machine)
-// pair — the granularity at which TraceExperiment amortises the simulated
-// core across schemes — and runs the jobs on a ThreadPool. The jobs of one
-// trace share its harness::TraceArtefact (workload, simulation points,
-// intervals, warm-state snapshots, annotated programs per software-pass
-// input, simulation results per harness::SimKey): the first job that needs
-// it builds it,
-// and the sweep drops it after the trace's last job. The artefact is
-// immutable and every RNG a job touches is seeded from the profile itself,
-// so results are bit-identical no matter how many workers run or in which
-// order jobs finish: `--jobs 8` reproduces `--jobs 1` exactly. Results land
-// in pre-sized slots indexed by grid position, never by completion order.
+// cell — the granularity at which TraceExperiment amortises the simulated
+// core across schemes — and runs the jobs on a ThreadPool. A pruned sweep
+// (SweepOptions::prune_top_k) runs two stages of such jobs, the model's and
+// then the simulator's, and both go through one cell routine: probe the
+// result store for each scheme, evaluate the misses in one call, store
+// them. The jobs of one trace share its harness::TraceArtefact (workload,
+// simulation points, intervals, warm-state snapshots, annotated programs
+// per software-pass input, simulation results per harness::SimKey): the
+// first job that needs it builds it, and the sweep drops it after the
+// trace's last job. The artefact is immutable and every RNG a job touches
+// is seeded from the profile itself, so results are bit-identical no
+// matter how many workers run or in which order jobs finish: `--jobs 8`
+// reproduces `--jobs 1` exactly. Results land in pre-sized slots indexed by
+// grid position, never by completion order.
 //
-// With a ResultCache attached, each point is probed before simulating and
-// stored after; a job whose points are all cached neither builds its trace
-// nor constructs its TraceExperiment, which is what makes warm re-runs of
-// a full figure sweep near-instant.
+// With a ResultCache attached, a job whose points are all cached neither
+// builds its trace nor evaluates anything, which is what makes warm
+// re-runs of a full figure sweep near-instant.
 #pragma once
 
 #include <cstddef>
@@ -36,17 +38,10 @@
 
 namespace vcsteer::exec {
 
-/// One scheme-axis entry: the evaluation API's shared request currency
-/// (either a built-in SchemeSpec or a caller-constructed policy factory
-/// labelled/cache-keyed by its custom tag). Historically a distinct struct
-/// with exactly this shape; now the same type the Evaluator interface and
-/// TraceExperiment::evaluate consume, so grids flow through unconverted.
-using SweepScheme = harness::SchemeRequest;
-
 struct SweepGrid {
   std::vector<workload::WorkloadProfile> profiles;
   std::vector<MachineConfig> machines;
-  std::vector<SweepScheme> schemes;
+  std::vector<harness::SchemeRequest> schemes;
   harness::SimBudget budget;
 };
 
@@ -94,35 +89,12 @@ struct SweepOptions {
   /// (eval::ModelEvaluator; cached under the "model" key namespace), the
   /// (machine, scheme) configs are ranked by mean model IPC across traces,
   /// and only the top-K configs are simulated — through the exact same
-  /// SimEvaluator path as an unpruned run, so the simulated frontier's
+  /// cell routine as an unpruned run, so the simulated frontier's
   /// results (and cache entries) are byte-identical with and without
   /// pruning. Non-frontier slots carry the model estimates, tagged
   /// source == "model". Incompatible with queue mode (the frontier needs
   /// the whole grid's estimates).
   std::size_t prune_top_k = 0;
-};
-
-/// Wall-clock seconds a sweep spent per phase, summed over all jobs (so on
-/// a multi-worker run the spans can exceed the sweep's wall time). Surfaced
-/// through exec::RunSummary / --summary-json so perf tooling can attribute
-/// a regression to a phase instead of a single kuops/s scalar.
-struct PhaseSeconds {
-  double trace_build = 0;  ///< workload generation + PinPoints + replay.
-  double annotate = 0;     ///< software passes (OB/RHOP/VC).
-  double warmup = 0;       ///< functional cache warming.
-  double simulate = 0;     ///< the cycle loops.
-  double walk = 0;         ///< the analytical model's critical-path walks.
-  double cache_io = 0;     ///< ResultCache lookups + stores.
-
-  PhaseSeconds& operator+=(const PhaseSeconds& o) {
-    trace_build += o.trace_build;
-    annotate += o.annotate;
-    warmup += o.warmup;
-    simulate += o.simulate;
-    walk += o.walk;
-    cache_io += o.cache_io;
-    return *this;
-  }
 };
 
 class SweepResult {
@@ -142,7 +114,11 @@ class SweepResult {
   std::size_t num_points() const { return points_.size(); }
   const std::vector<harness::RunResult>& points() const { return points_; }
 
-  /// Points actually simulated / served from the cache in this run.
+  /// Points simulated in this run, and points whose simulation result was
+  /// served from the cache. Model estimates read from the cache count in
+  /// neither (they show as model.estimated - model.walked -
+  /// model.walks_reused), so simulated + cache_hits + model.pruned ==
+  /// num_points() on every run that is not in queue mode.
   std::size_t simulated = 0;
   std::size_t cache_hits = 0;
   /// Of the simulated points, those served by an identical simulation
@@ -152,8 +128,9 @@ class SweepResult {
   /// (trace, sim key) pairs among the simulated points.
   std::size_t sims_reused = 0;
   /// Cache entries found truncated/garbled (e.g. a worker killed mid-run on
-  /// a pre-fsync cache); each was deleted and the point re-simulated, so
-  /// these also count in `simulated`.
+  /// a pre-fsync cache), in either namespace; each point was evaluated again
+  /// and stored over the garbage, so a simulation entry also counts in
+  /// `simulated` and a model entry in model.walked or model.walks_reused.
   std::size_t cache_corrupt = 0;
   /// TraceExperiments actually constructed: (trace, machine) cells the
   /// simulator evaluated (jobs with at least one cache miss); 0 on a fully
@@ -191,7 +168,7 @@ class SweepResult {
   };
   ModelStats model;
   /// Per-phase wall-clock spans, summed over all jobs of this run.
-  PhaseSeconds phases;
+  harness::PhaseTimes phases;
   /// Simulate span per scheme label, summed over all jobs (cache-served
   /// points contribute nothing — no cycle loop ran for them).
   std::map<std::string, double> scheme_simulate_s;

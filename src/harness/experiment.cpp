@@ -282,41 +282,26 @@ const std::vector<mem::MemoryHierarchy>& TraceArtefact::warm_snapshots(
       machine.l1d.size_bytes, machine.l1d.associativity,
       machine.l1d.line_bytes, machine.l2.size_bytes,
       machine.l2.associativity, machine.l2.line_bytes};
-  Snapshots* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(snapshots_mutex_);
-    std::unique_ptr<Snapshots>& slot = snapshots_[geometry];
-    if (!slot) slot = std::make_unique<Snapshots>();
-    entry = slot.get();
-  }
   *warm_s = 0;
-  std::call_once(entry->once, [&] {
-    const Clock::time_point t0 = Clock::now();
-    entry->points.reserve(warm_addrs_.size());
-    for (const std::vector<std::uint64_t>& addrs : warm_addrs_) {
-      mem::MemoryHierarchy& hierarchy = entry->points.emplace_back(machine);
-      for (const std::uint64_t addr : addrs) hierarchy.warm(addr);
-    }
-    *warm_s = seconds_since(t0);
-  });
-  return entry->points;
+  return snapshots_.get(
+      geometry, [&](std::vector<mem::MemoryHierarchy>& points) {
+        const Clock::time_point t0 = Clock::now();
+        points.reserve(warm_addrs_.size());
+        for (const std::vector<std::uint64_t>& addrs : warm_addrs_) {
+          mem::MemoryHierarchy& hierarchy = points.emplace_back(machine);
+          for (const std::uint64_t addr : addrs) hierarchy.warm(addr);
+        }
+        *warm_s = seconds_since(t0);
+      });
 }
 
 const TraceArtefact::Annotation& TraceArtefact::annotation(
     const PassOptions& options, double* annotate_s,
     std::size_t* passes) const {
-  AnnotationSlot* slot = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(annotations_mutex_);
-    std::unique_ptr<AnnotationSlot>& entry = annotations_[options];
-    if (!entry) entry = std::make_unique<AnnotationSlot>();
-    slot = entry.get();
-  }
   *annotate_s = 0;
   *passes = 0;
-  std::call_once(slot->once, [&] {
+  return annotations_.get(options, [&](Annotation& a) {
     const Clock::time_point t0 = Clock::now();
-    Annotation& a = slot->annotation;
     a.program = wl_.program;
     annotate(a.program, options);
     *annotate_s = seconds_since(t0);
@@ -331,30 +316,21 @@ const TraceArtefact::Annotation& TraceArtefact::annotation(
       }
       return true;
     };
-    std::lock_guard<std::mutex> lock(annotations_mutex_);
+    std::lock_guard<std::mutex> lock(interned_mutex_);
     const auto it = std::find_if(interned_.begin(), interned_.end(), same_hints);
     a.id = static_cast<std::size_t>(it - interned_.begin());
     if (it == interned_.end()) interned_.push_back(&a);
   });
-  return slot->annotation;
 }
 
 const RunResult& TraceArtefact::simulation(
     const SimKey& key, const std::function<RunResult()>& simulate,
     bool* simulated) const {
-  SimulationSlot* slot = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(simulations_mutex_);
-    std::unique_ptr<SimulationSlot>& entry = simulations_[key];
-    if (!entry) entry = std::make_unique<SimulationSlot>();
-    slot = entry.get();
-  }
   *simulated = false;
-  std::call_once(slot->once, [&] {
-    slot->result = simulate();
+  return simulations_.get(key, [&](RunResult& result) {
+    result = simulate();
     *simulated = true;
   });
-  return slot->result;
 }
 
 TraceExperiment::TraceExperiment(std::shared_ptr<const TraceArtefact> trace,

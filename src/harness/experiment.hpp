@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/once_map.hpp"
 #include "compiler/ob_pass.hpp"
 #include "compiler/rhop_pass.hpp"
 #include "compiler/vc_pass.hpp"
@@ -84,9 +85,8 @@ struct SchemeSpec {
 /// built-in SchemeSpec, or — when `make_policy` is set — a caller-constructed
 /// hardware policy (no software pass), labelled and cache-keyed by
 /// `custom_tag`, which must encode every parameter of the custom policy.
-/// This is the shared request currency of the evaluation API: sweep grids
-/// (exec::SweepScheme is an alias), eval::Evaluator requests and
-/// TraceExperiment::evaluate all speak it.
+/// This is the shared request currency of the evaluation API: sweep grids,
+/// eval::ModelEvaluator requests and TraceExperiment::evaluate all speak it.
 struct SchemeRequest {
   SchemeSpec spec;
   std::string custom_tag;
@@ -151,14 +151,17 @@ struct RunResult {
 };
 
 /// Wall-clock spans of an experiment's work, by phase. Accumulated per
-/// TraceExperiment and summed across a sweep into exec::RunSummary — never
-/// part of RunResult, which is cached and must stay host-independent.
+/// TraceExperiment or model evaluation, summed across a sweep's jobs into
+/// exec::SweepResult and across a run's sweeps into exec::RunSummary (so on
+/// a multi-worker run the spans can exceed the wall time) — never part of
+/// RunResult, which is cached and must stay host-independent.
 struct PhaseTimes {
   double trace_build_s = 0;  ///< workload generation + PinPoints + replay.
   double annotate_s = 0;     ///< software passes (OB/RHOP/VC).
   double warmup_s = 0;       ///< functional cache warming.
   double simulate_s = 0;     ///< the cycle loops.
   double walk_s = 0;         ///< the analytical model's critical-path walks.
+  double cache_io_s = 0;     ///< result-store lookups + stores (the sweep's).
 
   PhaseTimes& operator+=(const PhaseTimes& o) {
     trace_build_s += o.trace_build_s;
@@ -166,6 +169,7 @@ struct PhaseTimes {
     warmup_s += o.warmup_s;
     simulate_s += o.simulate_s;
     walk_s += o.walk_s;
+    cache_io_s += o.cache_io_s;
     return *this;
   }
 };
@@ -207,9 +211,9 @@ struct SimKey {
 /// software pass once per (trace, pass input) and each cycle loop once per
 /// (trace, sim key), not once per (machine, scheme) request.
 ///
-/// Each memo entry is built under its own std::once_flag, and no builder
-/// waits on another flag while it holds one: TraceExperiment fetches a
-/// request's annotation and warm snapshots before it enters the
+/// Each memo entry is built under its own std::once_flag (OnceMap), and no
+/// builder waits on another flag while it holds one: TraceExperiment fetches
+/// a request's annotation and warm snapshots before it enters the
 /// simulation's flag. A job so holds at most one once-flag at a time, and
 /// concurrent jobs cannot deadlock on each other's entries.
 class TraceArtefact {
@@ -271,36 +275,19 @@ class TraceArtefact {
   /// Size, associativity and line size of L1D, then of L2: everything
   /// functional warming reads (mem::MemoryHierarchy::warm_compatible).
   using Geometry = std::array<std::uint32_t, 6>;
-  struct Snapshots {
-    std::once_flag once;
-    std::vector<mem::MemoryHierarchy> points;
-  };
 
   workload::GeneratedWorkload wl_;
   std::vector<workload::SimPoint> points_;
   std::vector<std::vector<workload::TraceEntry>> intervals_;
   std::vector<std::vector<std::uint64_t>> warm_addrs_;
   double build_s_ = 0;
-  mutable std::mutex snapshots_mutex_;  ///< guards the map, not the entries.
-  mutable std::map<Geometry, std::unique_ptr<Snapshots>> snapshots_;
-
-  struct AnnotationSlot {
-    std::once_flag once;
-    Annotation annotation;
-  };
-  /// Guards both members below, not the slots' annotations.
-  mutable std::mutex annotations_mutex_;
-  mutable std::map<PassOptions, std::unique_ptr<AnnotationSlot>> annotations_;
+  mutable OnceMap<Geometry, std::vector<mem::MemoryHierarchy>> snapshots_;
+  mutable OnceMap<PassOptions, Annotation> annotations_;
+  mutable std::mutex interned_mutex_;  ///< guards interned_.
   /// One published annotation per distinct hint content; Annotation::id
   /// indexes it.
   mutable std::vector<const Annotation*> interned_;
-
-  struct SimulationSlot {
-    std::once_flag once;
-    RunResult result;
-  };
-  mutable std::mutex simulations_mutex_;  ///< guards the map, not the slots.
-  mutable std::map<SimKey, std::unique_ptr<SimulationSlot>> simulations_;
+  mutable OnceMap<SimKey, RunResult> simulations_;
 };
 
 class TraceExperiment {

@@ -1022,7 +1022,7 @@ TEST(RunSummary, JsonCarriesSweepCounters) {
   s.uops = 1500000;
   s.annotations = 24;
   s.sims_reused = 3;
-  s.phases.walk = 0.75;
+  s.phases.walk_s = 0.75;
   s.trace_builds = 3;
   s.traces = 3;
   s.schemes["MOD3"] = {750000, 0.25};
