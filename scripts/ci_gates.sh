@@ -12,7 +12,10 @@
 #             builds each of its traces exactly once and simulates each
 #             distinct (trace, sim key) once
 #   smoke     cold sweep simulates everything; warm re-run is 100% cache hits;
-#             a garbage --seed or --jobs value is a usage error
+#             both write results JSON byte-identical to an uncached --jobs 1
+#             run; a warm pruned re-run reads both stages from the cache and
+#             counts each point once; a garbage --seed or --jobs value is a
+#             usage error
 #   service   the sweep service, the one way to spread a sweep over
 #             processes: two concurrent --connect clients leasing fig7 smoke
 #             jobs from one vcsteer-sweepd must emit results JSON
@@ -34,16 +37,8 @@
 #             per-phase timing spans and event counts, and the
 #             pipeline_viewer's event counts reconcile exactly with the
 #             simulator's own SimStats counters
-#   perf      NON-BLOCKING perf trajectory: runs fig5_twocluster --smoke
-#             --jobs 1 three times, takes the median run's kuops/s via
-#             scripts/perf_gate.py (±7% single-core-VM wobble defence), and
-#             rewrites BENCH_perf.json at the repo root (warning, never
-#             failing, on a >10% drop vs the committed baseline). When the
-#             microbench binary exists, the wakeup/select, value-table-
-#             churn, arena-reuse and model-walk kernels are recorded
-#             alongside as 3-repetition medians. Run it from a Release tree
-#             (cmake --preset release) — any other build type only
-#             measures assert overhead.
+#
+# Performance is measured by perfbench (perfbench/README.md), not here.
 #
 # Assertions run against the benches' --summary-json documents (via
 # scripts/assert_summary.py) rather than grepping stderr text, so a wording
@@ -72,16 +67,14 @@ build_type() {
       2>/dev/null || true
 }
 
-# Bench-running gates call this: wall-clock numbers from a non-Release tree
-# are not comparable to the committed BENCH_perf.json baseline, and debug
-# asserts slow the sweeps several-fold.
+# Bench-running gates call this: debug asserts slow the sweeps several-fold.
 warn_if_not_release() {
   local bt
   bt="$(build_type)"
   if [[ "$bt" != "Release" ]]; then
     echo "ci_gates: WARNING: benches running from a" \
          "'${bt:-unknown}' build dir ($BUILD_DIR), not Release;" \
-         "timings are not baseline-comparable (use: cmake --preset release)" >&2
+         "sweeps run slower (use: cmake --preset release)" >&2
   fi
 }
 
@@ -165,52 +158,6 @@ gate_model() {
     'sweep["annotations"] == 24'
 }
 
-gate_perf() {
-  warn_if_not_release
-  # Three repeated runs: perf_gate.py records the median run, taming the
-  # documented ±7% single-core-VM wall-clock wobble. The results JSON must
-  # be byte-identical across repetitions (simulated numbers are
-  # deterministic; only the clock wobbles), so cmp doubles as a
-  # run-over-run determinism check and rep 1's document is THE results doc.
-  local summaries=""
-  for rep in 1 2 3; do
-    "$BUILD_DIR/fig5_twocluster" --smoke --jobs 1 \
-      --json "$GATE_OUT/perf_results_r${rep}.json" \
-      --summary-json "$GATE_OUT/perf_summary_r${rep}.json"
-    summaries="${summaries:+$summaries,}$GATE_OUT/perf_summary_r${rep}.json"
-  done
-  cmp "$GATE_OUT/perf_results_r1.json" "$GATE_OUT/perf_results_r2.json"
-  cmp "$GATE_OUT/perf_results_r1.json" "$GATE_OUT/perf_results_r3.json"
-  # The observers-on default must still spend its time simulating, not
-  # observing: the phase spans have to exist and account for real work.
-  assert_summary "$GATE_OUT/perf_summary_r1.json" \
-    'ok' 'phases["simulate_s"] > 0' 'events["cycles"] > 0'
-  # Kernel-level trajectory, recorded when the google-benchmark binary was
-  # built (find_package(benchmark) is optional). Repetitions give
-  # perf_gate.py per-kernel median aggregates.
-  local microbench_json=""
-  if [[ -x "$BUILD_DIR/microbench" ]]; then
-    microbench_json="$GATE_OUT/perf_microbench.json"
-    "$BUILD_DIR/microbench" \
-      --benchmark_filter='BM_WakeupSelect|BM_ValueTableChurn|BM_SoAValueTableChurn|BM_ArenaRunReused|BM_ModelWalk' \
-      --benchmark_repetitions=3 \
-      --benchmark_format=json > "$microbench_json"
-  fi
-  # Only a Release run may rewrite the repo-root baseline; numbers from any
-  # other build type land in $GATE_OUT so a default `ci_gates.sh` run from
-  # a dev tree cannot silently degrade the committed BENCH_perf.json.
-  local perf_out="$GATE_OUT/BENCH_perf.json"
-  if [[ "$(build_type)" == "Release" ]]; then
-    perf_out="$ROOT/BENCH_perf.json"
-  else
-    cp -f "$ROOT/BENCH_perf.json" "$perf_out" 2>/dev/null || true
-    echo "ci_gates: non-Release build: writing perf numbers to $perf_out," \
-         "leaving the committed baseline untouched" >&2
-  fi
-  python3 "$ROOT/scripts/perf_gate.py" "$summaries" \
-    "$GATE_OUT/perf_results_r1.json" "$perf_out" ${microbench_json:+"$microbench_json"}
-}
-
 gate_ablation() {
   warn_if_not_release
   "$BUILD_DIR/ablation_interconnect" --smoke --jobs 2 \
@@ -232,16 +179,37 @@ gate_smoke() {
   local cache="$GATE_OUT/smoke-cache"
   rm -rf "$cache"
   "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 --cache-dir "$cache" \
+    --json "$GATE_OUT/smoke_cold_results.json" \
     --summary-json "$GATE_OUT/smoke_cold.json"
   assert_summary "$GATE_OUT/smoke_cold.json" \
     'ok' 'sweep["cache_hits"] == 0' 'sweep["simulated"] == sweep["points"]'
   # Warm re-run must serve every point from the cache.
   "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 --cache-dir "$cache" \
+    --json "$GATE_OUT/smoke_warm_results.json" \
     --summary-json "$GATE_OUT/smoke_warm.json"
   assert_summary "$GATE_OUT/smoke_warm.json" \
     'ok' 'sweep["simulated"] == 0' \
     'sweep["cache_hits"] == sweep["points"]' \
     'sweep["corrupt_recovered"] == 0'
+  # The results are a pure function of the grid: an uncached serial run,
+  # the cold parallel run and the cache round trip write the same bytes.
+  "$BUILD_DIR/fig5_twocluster" --smoke --jobs 1 \
+    --json "$GATE_OUT/smoke_serial_results.json" > /dev/null
+  cmp "$GATE_OUT/smoke_serial_results.json" "$GATE_OUT/smoke_cold_results.json"
+  cmp "$GATE_OUT/smoke_serial_results.json" "$GATE_OUT/smoke_warm_results.json"
+  # A pruned search caches both stages: the first pruned run adds the
+  # model's estimates, the re-run reads both stages and walks nothing. Each
+  # point counts once, as a simulation, a cache hit or a pruned point.
+  local pruned
+  for pruned in cold warm; do
+    "$BUILD_DIR/fig5_twocluster" --smoke --jobs 2 --cache-dir "$cache" \
+      --prune-model 3 --summary-json "$GATE_OUT/smoke_pruned_$pruned.json" \
+      > /dev/null
+    assert_summary "$GATE_OUT/smoke_pruned_$pruned.json" \
+      'ok' 'sweep["simulated"] == 0' \
+      'sweep["simulated"] + sweep["cache_hits"] + model["pruned"] == sweep["points"]'
+  done
+  assert_summary "$GATE_OUT/smoke_pruned_warm.json" 'model["walked"] == 0'
   # A garbage seed or job count must be a usage error (exit 2), not a
   # silent --seed 0 or serial run.
   local bad status
@@ -262,7 +230,7 @@ gate_service() {
     "$BUILD_DIR/fig7_fourcluster" "$BUILD_DIR/vcsteer-sweepd"
 }
 
-ALL_GATES=(tier1 golden ablation smoke service observe model perf)
+ALL_GATES=(tier1 golden ablation smoke service observe model)
 if [[ $# -eq 0 ]]; then
   GATES=("${ALL_GATES[@]}")
 else
