@@ -20,8 +20,8 @@ class OnceMap {
  public:
   /// The value of `key`. The first call per key runs `build(Value&)` on a
   /// default-constructed value; concurrent callers of the same key wait for
-  /// it, later callers return at once. A build that throws leaves the entry
-  /// unbuilt, and the next caller builds it again.
+  /// it, later callers return at once. `build` must not wait on its own
+  /// entry, directly or through another entry's build.
   template <typename Build>
   Value& get(const Key& key, Build&& build) {
     Slot* slot = nullptr;

@@ -240,7 +240,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
   std::atomic<std::size_t> walks_reused{0};
   std::atomic<std::size_t> jobs_done{0};
   std::mutex progress_mutex;
-  std::mutex phases_mutex;  ///< guards result.phases and scheme_simulate_s.
+  std::mutex phases_mutex;  // guards result.phases and scheme_simulate_s
   using Clock = std::chrono::steady_clock;
   auto seconds_since = [](Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -305,13 +305,15 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     result.phases += phases;
   };
 
-  // sim_schemes[m] is the scheme subset stage 2 simulates on machine m:
-  // every scheme, unless stage 1 pruned the grid to its frontier.
-  std::vector<std::vector<std::size_t>> sim_schemes(grid.machines.size());
-  for (auto& schemes : sim_schemes) {
+  // The schemes a stage evaluates on each machine: stage 1 every scheme,
+  // stage 2 (sim_schemes) every scheme unless stage 1 pruned the grid to
+  // its frontier.
+  std::vector<std::vector<std::size_t>> all_schemes(grid.machines.size());
+  for (auto& schemes : all_schemes) {
     schemes.resize(grid.schemes.size());
     for (std::size_t s = 0; s < grid.schemes.size(); ++s) schemes[s] = s;
   }
+  std::vector<std::vector<std::size_t>> sim_schemes = all_schemes;
 
   // --- Stage 1 (pruned mode only): model-estimate every grid point. -------
   // Scored by the analytical evaluator (cached under the "model" key
@@ -330,7 +332,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
     eval::ModelEvaluator model_evaluator;
     model_points.resize(result.num_points());
     const Stage model_stage{
-        eval::Source::kModel, &model_points, &sim_schemes,
+        eval::Source::kModel, &model_points, &all_schemes,
         [&](const eval::EvalRequest& request, harness::PhaseTimes& phases) {
           eval::EvalResponse response = model_evaluator.evaluate(request);
           walked.fetch_add(response.walked, std::memory_order_relaxed);
@@ -373,7 +375,7 @@ SweepResult run_sweep(const SweepGrid& grid, const SweepOptions& opt) {
                        return model_score[a] > model_score[b];
                      });
     const std::size_t frontier = std::min(opt.prune_top_k, num_configs);
-    for (auto& schemes : sim_schemes) schemes.clear();
+    sim_schemes.assign(grid.machines.size(), {});
     for (std::size_t i = 0; i < frontier; ++i) {
       sim_schemes[order[i] / grid.schemes.size()].push_back(
           order[i] % grid.schemes.size());
